@@ -1,10 +1,9 @@
-// Online-repair regret: replays one churning event log — adds, explicit
-// removals, and sliding-window evictions — under three flush regimes
-// (warm LOCALSEARCH repair, the Mathieu–Sankur–Schudy-style online
-// agglomerative repair, and a full rebuild at every flush) and records,
-// in BENCH_online.json, each policy's per-flush cost regret against the
-// rebuild-always trajectory, the offline-optimum proxy. The numbers
-// behind docs/streaming.md's repair-policy guidance, diffed by later
+// Warm-repair regret: replays one churning event log — adds, explicit
+// removals, and sliding-window evictions — under two flush regimes
+// (warm LOCALSEARCH repair, and a full rebuild at every flush) and
+// records, in BENCH_online.json, the warm repair's per-flush cost regret
+// against the rebuild-always trajectory, the offline-optimum proxy. The
+// numbers behind docs/streaming.md's repair guidance, diffed by later
 // PRs like every BENCH_*.json.
 
 #include <algorithm>
@@ -103,11 +102,9 @@ struct RegimeStats {
 /// Replays the log under one repair regime, recording the solution cost
 /// after every flush so the trajectories are comparable point by point.
 RegimeStats Replay(const std::vector<StreamRecord>& records,
-                   std::size_t window, StreamRepairPolicy policy,
-                   double rebuild_threshold) {
+                   std::size_t window, double rebuild_threshold) {
   StreamAggregatorOptions options;
   options.window = window;
-  options.repair_policy = policy;
   options.rebuild_threshold = rebuild_threshold;
   options.rebuild.algorithm = AggregationAlgorithm::kAgglomerative;
   options.rebuild.refine_with_local_search = true;
@@ -186,26 +183,20 @@ int Run() {
       MakeChurnLog(initial_objects, initial_clusterings, batches,
                    events_per_batch, window, &rng);
 
-  std::printf("=== online repair regret (n0 = %zu, m0 = %zu, %zu batches "
+  std::printf("=== warm repair regret (n0 = %zu, m0 = %zu, %zu batches "
               "x %zu events, window %zu) ===\n",
               initial_objects, initial_clusterings, batches,
               events_per_batch, window);
   // Rebuild-always is the offline-optimum proxy: every flush re-runs
-  // the full batch pipeline over exactly the surviving inputs. Warm and
-  // online both run under an unreachable threshold so every flush after
-  // the first takes the repair path under measurement.
-  RegimeStats rebuild =
-      Replay(records, window, StreamRepairPolicy::kLocalSearch, 0.0);
-  RegimeStats warm =
-      Replay(records, window, StreamRepairPolicy::kLocalSearch, 1e18);
-  RegimeStats online =
-      Replay(records, window, StreamRepairPolicy::kOnline, 1e18);
+  // the full batch pipeline over exactly the surviving inputs. Warm runs
+  // under an unreachable threshold so every flush after the first takes
+  // the repair path under measurement.
+  RegimeStats rebuild = Replay(records, window, 0.0);
+  RegimeStats warm = Replay(records, window, 1e18);
   ComputeRegret(rebuild, &rebuild);
   ComputeRegret(rebuild, &warm);
-  ComputeRegret(rebuild, &online);
   Report("rebuild", rebuild);
   Report("warm", warm);
-  Report("online", online);
 
   JsonObject config;
   config.Set("initial_objects", initial_objects)
@@ -218,7 +209,6 @@ int Run() {
   json.Set("config", config);
   json.Set("rebuild", ToJson(rebuild));
   json.Set("warm", ToJson(warm));
-  json.Set("online", ToJson(online));
   bench::WriteBenchJson("BENCH_online.json", json);
   return 0;
 }

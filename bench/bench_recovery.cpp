@@ -5,7 +5,8 @@
 //     1 / 8 / 64 records, and never — Sync/Close only), and
 //   - recovery wall time as a function of journal length, with and
 //     without snapshots (a snapshot bounds replay to the suffix past
-//     its cursor; without one, Open re-runs every flush in the log).
+//     its cursor; without one, Open re-runs every flush in the log),
+//     with the size of the snapshot each recovery read.
 // Journal and snapshot files land in the working directory next to the
 // BENCH json and are removed afterwards.
 
@@ -148,6 +149,8 @@ struct RecoveryStats {
   std::uint64_t journal_records = 0;
   std::uint64_t replayed_records = 0;
   bool from_snapshot = false;
+  /// Size of the snapshot file recovery read (0 without one).
+  std::uint64_t snapshot_bytes = 0;
 };
 
 /// Times DurableStreamAggregator::Open over the files a durable run
@@ -165,6 +168,12 @@ RecoveryStats Recover(const std::string& journal) {
   stats.replayed_records = (*opened)->recovery().replayed_records;
   stats.from_snapshot = (*opened)->recovery().from_snapshot;
   CLUSTAGG_CHECK_OK((*opened)->Close());
+  if (stats.from_snapshot) {
+    Result<std::uint64_t> size =
+        FileSystem::Real()->FileSize(EffectiveSnapshotPath(durability));
+    CLUSTAGG_CHECK_OK(size.status());
+    stats.snapshot_bytes = *size;
+  }
   return stats;
 }
 
@@ -174,7 +183,8 @@ JsonObject ToJson(const RecoveryStats& stats) {
       .Set("journal_records", static_cast<std::size_t>(stats.journal_records))
       .Set("replayed_records",
            static_cast<std::size_t>(stats.replayed_records))
-      .Set("from_snapshot", std::string(stats.from_snapshot ? "yes" : "no"));
+      .Set("from_snapshot", std::string(stats.from_snapshot ? "yes" : "no"))
+      .Set("snapshot_bytes", static_cast<std::size_t>(stats.snapshot_bytes));
   return json;
 }
 
@@ -237,10 +247,11 @@ int Run() {
       const RecoveryStats stats = Recover(journal);
       const char* mode = snapshot_every == 0 ? "journal_only" : "snapshotted";
       std::printf("%3zu batches  %-12s  open %8.4fs  (%llu of %llu records "
-                  "replayed)\n",
+                  "replayed, %llu snapshot bytes)\n",
                   batches, mode, stats.open_seconds,
                   static_cast<unsigned long long>(stats.replayed_records),
-                  static_cast<unsigned long long>(stats.journal_records));
+                  static_cast<unsigned long long>(stats.journal_records),
+                  static_cast<unsigned long long>(stats.snapshot_bytes));
       entry.Set(mode, ToJson(stats));
     }
     recovery.Set("batches_" + std::to_string(batches), entry);

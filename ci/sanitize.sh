@@ -35,10 +35,11 @@
 #
 # On top of the label legs, every invocation runs a fixed eviction pin
 # (`ctest -R 'Window|Evict|Removal|window_smoke'`): the
-# windowed-forgetting surface — FIFO eviction, removal decrements,
-# recovery of journals that carry removals — touches the counter
-# triangle with both adds and decrements, so it must stay clean under
-# ASan and TSan no matter how a label regex above is narrowed.
+# windowed-forgetting surface — FIFO eviction, removals, recovery of
+# journals that carry removals — rebuilds the stream's label-column
+# distance source and runs the parallel drift sweep on adds and
+# removals alike, so it must stay clean under ASan and TSan no matter
+# how a label regex above is narrowed.
 #
 # Usage: ci/sanitize.sh [-j jobs] LABEL_REGEX [LABEL_REGEX...]
 set -euo pipefail

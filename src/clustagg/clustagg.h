@@ -47,7 +47,6 @@
 #include "shard/shard_options.h"
 #include "signed/signed_graph.h"
 #include "stream/journal.h"
-#include "stream/online_repair.h"
 #include "stream/recovery.h"
 #include "stream/snapshot.h"
 #include "stream/stream_aggregator.h"

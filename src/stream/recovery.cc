@@ -4,6 +4,8 @@
 #include <variant>
 #include <vector>
 
+#include "core/instrumentation.h"
+
 namespace clustagg {
 
 std::string EffectiveSnapshotPath(const DurabilityOptions& durability) {
@@ -58,10 +60,8 @@ Result<std::unique_ptr<DurableStreamAggregator>> DurableStreamAggregator::Open(
       }
       report.truncated_torn_tail = true;
       report.torn_bytes = read->torn_bytes;
-      if (telemetry != nullptr) {
-        telemetry->counter("durability.recovery.torn_bytes_truncated")
-            ->Add(read->torn_bytes);
-      }
+      TelemetryCount(telemetry, "durability.recovery.torn_bytes_truncated",
+                     read->torn_bytes);
     }
     records = std::move(read->records);
     report.recovered = true;
@@ -97,10 +97,10 @@ Result<std::unique_ptr<DurableStreamAggregator>> DurableStreamAggregator::Open(
     }
   }
   report.replayed_records = records.size() - cursor;
-  if (telemetry != nullptr && report.recovered) {
-    telemetry->counter("durability.recovery.runs")->Add();
-    telemetry->counter("durability.recovery.replayed_records")
-        ->Add(report.replayed_records);
+  if (report.recovered) {
+    TelemetryCount(telemetry, "durability.recovery.runs");
+    TelemetryCount(telemetry, "durability.recovery.replayed_records",
+                   report.replayed_records);
   }
 
   Result<JournalWriter> journal = JournalWriter::Open(
@@ -168,10 +168,8 @@ Status DurableStreamAggregator::MaybeSnapshot() {
       WriteSnapshotFile(fs_, EffectiveSnapshotPath(options_), snapshot);
   if (!bytes.ok()) return bytes.status();
   markers_since_snapshot_ = 0;
-  if (telemetry_ != nullptr) {
-    telemetry_->counter("durability.snapshots_written")->Add();
-    telemetry_->counter("durability.snapshot_bytes")->Add(*bytes);
-  }
+  TelemetryCount(telemetry_, "durability.snapshots_written");
+  TelemetryCount(telemetry_, "durability.snapshot_bytes", *bytes);
   return Status::OK();
 }
 

@@ -119,10 +119,6 @@ std::string EncodeSnapshot(const StreamSnapshot& snapshot) {
   PutU64(&out, s.weights.size());
   for (double w : s.weights) PutDouble(&out, w);
   PutDouble(&out, s.total_weight);
-  PutU64(&out, s.separating.size());
-  for (double d : s.separating) PutDouble(&out, d);
-  PutU64(&out, s.opinionated.size());
-  for (double d : s.opinionated) PutDouble(&out, d);
   PutU64(&out, s.labels.size());
   for (Clustering::Label label : s.labels) PutLabel(&out, label);
   PutU32(&out, s.ever_clustered ? 1 : 0);
@@ -178,10 +174,6 @@ Result<StreamSnapshot> DecodeSnapshot(std::string_view bytes) {
   s.weights.resize(r.Length(8));
   for (double& w : s.weights) w = r.Double();
   s.total_weight = r.Double();
-  s.separating.resize(r.Length(8));
-  for (double& d : s.separating) d = r.Double();
-  s.opinionated.resize(r.Length(8));
-  for (double& d : s.opinionated) d = r.Double();
   s.labels.resize(r.Length(4));
   for (Clustering::Label& label : s.labels) label = r.Label();
   s.ever_clustered = r.Bool();

@@ -25,12 +25,15 @@ struct StreamSnapshot {
 /// checksum mismatch with StatusCode::kDataLoss — never a partial
 /// decode.
 inline constexpr char kSnapshotMagic[4] = {'C', 'A', 'G', 'S'};
-/// Version history: 1 = PR 7 (no stable ids); 2 = windowed forgetting
+/// Version history: 1 = no stable ids; 2 = windowed forgetting
 /// (appends the clustering/object id vectors and next-id counters to
-/// the body). Version-1 files predate removal events entirely, so they
-/// are rejected rather than upgraded — a v1 deployment has no removal
-/// journals whose ids a guessed upgrade could get wrong.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// the body); 3 = label columns only (drops the two O(n^2) pair-counter
+/// triangles v2 carried between the total weight and the solution
+/// labels, so a snapshot is O(n m)). Older versions are rejected with
+/// kDataLoss, never upgraded (see docs/durability.md): a stream whose
+/// newest snapshot predates v3 recovers from its full journal once the
+/// stale snapshot is moved aside.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Serializes a snapshot:
 ///   "CAGS" | u32 version | body | u32 CRC-32 of everything before it

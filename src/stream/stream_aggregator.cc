@@ -4,40 +4,19 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "common/check.h"
-#include "common/symmetric_matrix.h"
-#include "core/distance_source.h"
+#include "common/parallel.h"
 #include "core/instrumentation.h"
-#include "stream/online_repair.h"
 
 namespace clustagg {
 
 namespace {
-
-/// Packed column-major strict-lower-triangle index of the pair {u, v},
-/// u < v: column v's entries (0,v) .. (v-1,v) are contiguous, so adding
-/// object n appends the block for column n at the end of the counter
-/// arrays without disturbing existing entries (unlike SymmetricMatrix's
-/// row-major packing, which interleaves new entries into every row).
-std::size_t PairIndex(std::size_t u, std::size_t v) {
-  return v * (v - 1) / 2 + u;
-}
-
-constexpr std::uint64_t kHashOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kHashPrime = 1099511628211ULL;
-
-/// FNV-1a step folding one more clustering's label into a signature
-/// hash. Extending a group hash is O(1) per clustering because all
-/// members of a group share the label being appended.
-std::uint64_t MixHash(std::uint64_t h, Clustering::Label label) {
-  return (h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(label))) *
-         kHashPrime;
-}
 
 Status BadLabels(const std::vector<Clustering::Label>& labels,
                  const char* what) {
@@ -49,6 +28,19 @@ Status BadLabels(const std::vector<Clustering::Label>& labels,
     }
   }
   return Status::OK();
+}
+
+/// The columns as a batch input set (ClusteringSet::Create validates
+/// labels and weights).
+Result<ClusteringSet> ColumnsAsInput(
+    const std::vector<std::vector<Clustering::Label>>& columns,
+    const std::vector<double>& weights) {
+  std::vector<Clustering> clusterings;
+  clusterings.reserve(columns.size());
+  for (const std::vector<Clustering::Label>& column : columns) {
+    clusterings.emplace_back(column);
+  }
+  return ClusteringSet::Create(std::move(clusterings), weights);
 }
 
 /// Index of `id` in an ascending stable-id vector, or npos.
@@ -136,40 +128,10 @@ Status StreamAggregator::Ingest(StreamEvent event) {
   return Status::OK();
 }
 
-double StreamAggregator::PairDistanceRaw(double disagreeing,
-                                         double opinionated) const {
-  // Mirror of ColumnDistance (src/core/distance_source.cc): the counters
-  // were accumulated in ascending clustering order, so finishing with the
-  // same policy arithmetic reproduces the batch value bit for bit. The
-  // batch kernels' uniform-no-missing mismatch-count fast path needs no
-  // twin here: with unit weights the counters are exact integer sums,
-  // opinionated == total_weight_ exactly, and the kRandomCoin correction
-  // adds exactly 0.0 — the argument on DistanceColumns applies verbatim.
-  if (total_weight_ == 0.0) return 0.0;
-  switch (options_.missing.policy) {
-    case MissingValuePolicy::kRandomCoin:
-      disagreeing += (total_weight_ - opinionated) *
-                     (1.0 - options_.missing.coin_together_probability);
-      return disagreeing / total_weight_;
-    case MissingValuePolicy::kIgnore:
-      if (opinionated == 0.0) return 0.5;
-      return disagreeing / opinionated;
-  }
-  CLUSTAGG_CHECK(false);
-  return 0.0;
-}
-
-double StreamAggregator::PairDistance(std::size_t pair_index) const {
-  // Round through float exactly like both batch backends.
-  return static_cast<float>(
-      PairDistanceRaw(separating_[pair_index], opinionated_[pair_index]));
-}
-
 double StreamAggregator::distance(std::size_t u, std::size_t v) const {
   CLUSTAGG_CHECK(u < n_ && v < n_);
-  if (u == v || columns_.empty()) return 0.0;
-  if (u > v) std::swap(u, v);
-  return PairDistance(PairIndex(u, v));
+  if (u == v || source_ == nullptr) return 0.0;
+  return source_->distance(u, v);
 }
 
 double StreamAggregator::drift() const {
@@ -177,168 +139,124 @@ double StreamAggregator::drift() const {
   return pairs == 0 ? 0.0 : drift_accum_ / static_cast<double>(pairs);
 }
 
+void StreamAggregator::RefreshColumns() {
+  // Ascending-order sum, the order ClusteringSet and the kernels use.
+  total_weight_ = 0.0;
+  for (double w : weights_) total_weight_ += w;
+  source_ = nullptr;
+  if (columns_.empty() || n_ < 2) return;
+  Result<ClusteringSet> input = CurrentInput();
+  CLUSTAGG_CHECK(input.ok());  // Ingest / RestoreState validated it.
+  Result<std::shared_ptr<const LazyDistanceSource>> source =
+      LazyDistanceSource::Build(*input, options_.missing);
+  CLUSTAGG_CHECK(source.ok());
+  source_ = *std::move(source);
+}
+
+void StreamAggregator::SweepPairs(const DistanceSource* before,
+                                  StreamFlushReport* report) {
+  // Under the coin policy a clustering change moves the denominator of
+  // every X, so drift (and the tracked cost) must look at all pairs.
+  // Rows are filled in parallel a block at a time, then charged
+  // serially in (v ascending, u < v) order, which fixes drift's
+  // accumulation order whatever the thread count. Rows are filled whole
+  // but read only below the diagonal. A sweep's fill work grows like
+  // n^2 m; below kParallelWork it takes well under a millisecond, less
+  // than spawning the block workers.
+  constexpr std::size_t kBlockRows = 256;
+  constexpr std::size_t kParallelWork = std::size_t{1} << 22;
+  const std::size_t labeled = labels_.size();
+  const std::size_t threads =
+      n_ * n_ * (columns_.size() + 1) < kParallelWork
+          ? 1
+          : EffectiveRowThreads(n_, ResolveThreadCount(options_.num_threads));
+  const std::size_t block = std::min(kBlockRows, n_);
+  std::vector<double> old_rows(block * n_, 0.0);
+  std::vector<double> new_rows(block * n_, 0.0);
+  // Local accumulators: the same additions in the same order, kept out
+  // of memory the row pointers could alias.
+  double drift = drift_accum_;
+  double predicted = predicted_cost_;
+  for (std::size_t v0 = 1; v0 < n_; v0 += block) {
+    const std::size_t rows = std::min(block, n_ - v0);
+    ParallelForRows(rows, threads, [&](std::size_t i, std::size_t) {
+      const std::span<double> old_row(old_rows.data() + i * n_, n_);
+      const std::span<double> new_row(new_rows.data() + i * n_, n_);
+      if (before != nullptr) before->FillRow(v0 + i, old_row);
+      if (source_ != nullptr) source_->FillRow(v0 + i, new_row);
+    });
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t v = v0 + i;
+      const double* old_row = old_rows.data() + i * n_;
+      const double* new_row = new_rows.data() + i * n_;
+      // Track the solution's cost under the moving distances; pairs
+      // involving objects the solution does not cover yet are charged
+      // wholesale when the solution is extended.
+      const bool covered = v < labeled;
+      for (std::size_t u = 0; u < v; ++u) {
+        const double old_x = old_row[u];
+        const double new_x = new_row[u];
+        drift += std::abs(new_x - old_x);
+        if (covered) {
+          predicted +=
+              labels_.SameCluster(u, v) ? new_x - old_x : old_x - new_x;
+        }
+      }
+    }
+  }
+  drift_accum_ = drift;
+  predicted_cost_ = predicted;
+  report->pairs_touched += n_ > 1 ? n_ * (n_ - 1) / 2 : 0;
+}
+
 void StreamAggregator::ApplyAddClustering(const AddClusteringEvent& event,
                                           StreamFlushReport* report) {
   // An object-defining first clustering (see Ingest) materializes its
-  // objects as implicit empty-tuple AddObjects: zeroed counter blocks,
-  // and one all-objects fold group (every empty tuple is one signature).
+  // objects as implicit empty-tuple AddObjects.
   while (n_ < event.labels.size()) {
     CLUSTAGG_CHECK(columns_.empty());
     ApplyAddObject(AddObjectEvent{}, report);
   }
   CLUSTAGG_CHECK(event.labels.size() == n_);
-  const double old_weight = total_weight_;
-  const std::size_t labeled = labels_.size();
-  // Sweep every pair once: counters change only where both endpoints have
-  // an opinion, but under the coin policy the denominator change moves
-  // every X, so drift (and the tracked cost) must look at all of them.
-  // The loop visits columns ascending, matching the packed layout.
-  std::size_t idx = 0;
-  for (std::size_t v = 1; v < n_; ++v) {
-    const Clustering::Label lv = event.labels[v];
-    for (std::size_t u = 0; u < v; ++u, ++idx) {
-      const double old_x = static_cast<float>(
-          PairDistanceRaw(separating_[idx], opinionated_[idx]));
-      const Clustering::Label lu = event.labels[u];
-      if (lu != Clustering::kMissing && lv != Clustering::kMissing) {
-        opinionated_[idx] += event.weight;
-        if (lu != lv) separating_[idx] += event.weight;
-      }
-      total_weight_ = old_weight + event.weight;
-      const double new_x = static_cast<float>(
-          PairDistanceRaw(separating_[idx], opinionated_[idx]));
-      total_weight_ = old_weight;
-      drift_accum_ += std::abs(new_x - old_x);
-      if (v < labeled) {
-        // Track the solution's cost under the moving distances; pairs
-        // involving objects the solution does not cover yet are charged
-        // wholesale when the solution is extended.
-        predicted_cost_ +=
-            labels_.SameCluster(u, v) ? new_x - old_x : old_x - new_x;
-      }
-    }
-  }
-  total_weight_ = old_weight + event.weight;
+  const std::shared_ptr<const LazyDistanceSource> before = source_;
   columns_.push_back(event.labels);
   weights_.push_back(event.weight);
   clustering_ids_.push_back(next_clustering_id_++);
-  report->pairs_touched += idx;
-  if (options_.fold) RefineFoldGroups(event.labels);
+  RefreshColumns();
+  SweepPairs(before.get(), report);
 }
 
 void StreamAggregator::ApplyAddObject(const AddObjectEvent& event,
                                       StreamFlushReport* report) {
-  const std::size_t m = columns_.size();
-  CLUSTAGG_CHECK(event.labels.size() == m);
-  const std::size_t v = n_;
-  // The new object's pairs occupy the contiguous block for column v; the
-  // counters accumulate over clusterings in ascending index order, the
-  // same order future AddClustering events will extend them in.
-  separating_.resize(separating_.size() + v, 0.0);
-  opinionated_.resize(opinionated_.size() + v, 0.0);
-  const std::size_t base = PairIndex(0, v);
-  for (std::size_t u = 0; u < v; ++u) {
-    double& dis = separating_[base + u];
-    double& opi = opinionated_[base + u];
-    for (std::size_t i = 0; i < m; ++i) {
-      const Clustering::Label lu = columns_[i][u];
-      const Clustering::Label lv = event.labels[i];
-      if (lu == Clustering::kMissing || lv == Clustering::kMissing) continue;
-      opi += weights_[i];
-      if (lu != lv) dis += weights_[i];
-    }
-    // A brand-new pair charges its unavoidable cost mass: whatever the
-    // repaired solution does with it, it pays at least min(X, 1 - X).
-    const double x = static_cast<float>(PairDistanceRaw(dis, opi));
-    drift_accum_ += std::min(x, 1.0 - x);
+  CLUSTAGG_CHECK(event.labels.size() == columns_.size());
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    columns_[i].push_back(event.labels[i]);
   }
-  for (std::size_t i = 0; i < m; ++i) columns_[i].push_back(event.labels[i]);
-  ++n_;
+  const std::size_t v = n_++;
   object_ids_.push_back(next_object_id_++);
   report->pairs_touched += v;
-  if (options_.fold) PlaceObjectInFoldGroup(v, event.labels);
+  RefreshColumns();
+  if (source_ == nullptr) return;  // every X is 0: nothing to charge
+  // A brand-new pair charges its unavoidable cost mass: whatever the
+  // repaired solution does with it, it pays at least min(X, 1 - X).
+  std::vector<double> row(n_);
+  source_->FillRow(v, row);
+  for (std::size_t u = 0; u < v; ++u) {
+    drift_accum_ += std::min(row[u], 1.0 - row[u]);
+  }
 }
 
 void StreamAggregator::ApplyRemoveClustering(std::uint64_t id,
                                              StreamFlushReport* report) {
   const std::size_t i = FindId(clustering_ids_, id);
   CLUSTAGG_CHECK(i != static_cast<std::size_t>(-1));  // Ingest validated it.
-  const double removed_weight = weights_[i];
-  // Bit-exactness strategy. The invariant is that every counter equals
-  // the ascending-order accumulation over the alive clusterings, exactly
-  // as the batch kernels compute it. Under uniform unit weights the
-  // counters are integer sums, so subtracting the removed contribution
-  // is exact and order-free. With general weights, floating-point
-  // subtraction cannot undo an addition ((1e16 + 1) - 1e16 != 1), so the
-  // touched counters are re-accumulated over the survivors instead —
-  // O(n^2 m), the same shape as the batch build it must match.
-  bool unit_weights = true;
-  for (double w : weights_) {
-    if (w != 1.0) {
-      unit_weights = false;
-      break;
-    }
-  }
-  double new_total = 0.0;
-  if (unit_weights) {
-    new_total = total_weight_ - removed_weight;
-  } else {
-    for (std::size_t j = 0; j < weights_.size(); ++j) {
-      if (j != i) new_total += weights_[j];
-    }
-  }
-  const std::size_t labeled = labels_.size();
-  const std::vector<Clustering::Label>& column = columns_[i];
-  std::size_t idx = 0;
-  for (std::size_t v = 1; v < n_; ++v) {
-    const Clustering::Label lv = column[v];
-    for (std::size_t u = 0; u < v; ++u, ++idx) {
-      const double old_x = static_cast<float>(
-          PairDistanceRaw(separating_[idx], opinionated_[idx]));
-      if (unit_weights) {
-        const Clustering::Label lu = column[u];
-        if (lu != Clustering::kMissing && lv != Clustering::kMissing) {
-          opinionated_[idx] -= removed_weight;
-          if (lu != lv) separating_[idx] -= removed_weight;
-        }
-      } else {
-        double dis = 0.0;
-        double opi = 0.0;
-        for (std::size_t j = 0; j < columns_.size(); ++j) {
-          if (j == i) continue;
-          const Clustering::Label a = columns_[j][u];
-          const Clustering::Label b = columns_[j][v];
-          if (a == Clustering::kMissing || b == Clustering::kMissing) {
-            continue;
-          }
-          opi += weights_[j];
-          if (a != b) dis += weights_[j];
-        }
-        separating_[idx] = dis;
-        opinionated_[idx] = opi;
-      }
-      const double saved_total = total_weight_;
-      total_weight_ = new_total;
-      const double new_x = static_cast<float>(
-          PairDistanceRaw(separating_[idx], opinionated_[idx]));
-      total_weight_ = saved_total;
-      drift_accum_ += std::abs(new_x - old_x);
-      if (v < labeled) {
-        predicted_cost_ +=
-            labels_.SameCluster(u, v) ? new_x - old_x : old_x - new_x;
-      }
-    }
-  }
-  total_weight_ = new_total;
+  const std::shared_ptr<const LazyDistanceSource> before = source_;
   columns_.erase(columns_.begin() + static_cast<std::ptrdiff_t>(i));
   weights_.erase(weights_.begin() + static_cast<std::ptrdiff_t>(i));
   clustering_ids_.erase(clustering_ids_.begin() +
                         static_cast<std::ptrdiff_t>(i));
-  report->pairs_touched += idx;
-  // A removal can merge fold groups (two tuples that differed only in
-  // the removed clustering), which split-only refinement cannot
-  // express: rebuild from the surviving columns.
-  if (options_.fold) RebuildFoldGroups();
+  RefreshColumns();
+  SweepPairs(before.get(), report);
 }
 
 void StreamAggregator::ApplyRemoveObject(std::uint64_t id,
@@ -350,40 +268,18 @@ void StreamAggregator::ApplyRemoveObject(std::uint64_t id,
   // brand-new-pair charge in ApplyAddObject: their unavoidable mass
   // leaves the objective) and remove their contribution from the
   // tracked cost where the solution covered them.
-  if (!columns_.empty()) {
+  if (source_ != nullptr) {
+    std::vector<double> row(n_);
+    source_->FillRow(pos, row);
     for (std::size_t u = 0; u < n_; ++u) {
       if (u == pos) continue;
-      const std::size_t idx =
-          u < pos ? PairIndex(u, pos) : PairIndex(pos, u);
-      const double x = PairDistance(idx);
+      const double x = row[u];
       drift_accum_ += std::min(x, 1.0 - x);
       if (u < labeled && pos < labeled) {
         predicted_cost_ -= labels_.SameCluster(u, pos) ? x : 1.0 - x;
       }
     }
   }
-  // Compact the packed column-major triangle: walking the old triangle
-  // in packed order and keeping every pair not involving pos emits the
-  // survivors exactly in the new packed order, so each surviving
-  // counter is moved, never recomputed — bit-identical by construction.
-  const std::size_t old_pairs = n_ > 1 ? n_ * (n_ - 1) / 2 : 0;
-  std::vector<double> new_separating;
-  std::vector<double> new_opinionated;
-  if (old_pairs > 0) {
-    const std::size_t kept = (n_ - 1) > 1 ? (n_ - 1) * (n_ - 2) / 2 : 0;
-    new_separating.reserve(kept);
-    new_opinionated.reserve(kept);
-    std::size_t idx = 0;
-    for (std::size_t v = 1; v < n_; ++v) {
-      for (std::size_t u = 0; u < v; ++u, ++idx) {
-        if (u == pos || v == pos) continue;
-        new_separating.push_back(separating_[idx]);
-        new_opinionated.push_back(opinionated_[idx]);
-      }
-    }
-  }
-  separating_ = std::move(new_separating);
-  opinionated_ = std::move(new_opinionated);
   for (std::vector<Clustering::Label>& column : columns_) {
     column.erase(column.begin() + static_cast<std::ptrdiff_t>(pos));
   }
@@ -395,92 +291,19 @@ void StreamAggregator::ApplyRemoveObject(std::uint64_t id,
   }
   --n_;
   report->pairs_touched += n_;
-  // Every object index above pos shifted down: rebuild the grouping
-  // over the compacted columns.
-  if (options_.fold) RebuildFoldGroups();
+  RefreshColumns();
 }
 
-void StreamAggregator::RefineFoldGroups(
-    const std::vector<Clustering::Label>& labels) {
-  std::vector<FoldGroup> refined;
-  refined.reserve(groups_.size());
-  for (const FoldGroup& group : groups_) {
-    // Bucket the group's members by their new label in first-seen order;
-    // members are ascending, so each bucket's front is its minimum.
-    std::vector<Clustering::Label> seen;
-    std::vector<std::size_t> bucket_of;
-    const std::size_t first_new = refined.size();
-    for (std::size_t member : group.members) {
-      const Clustering::Label label = labels[member];
-      std::size_t b = 0;
-      while (b < seen.size() && seen[b] != label) ++b;
-      if (b == seen.size()) {
-        seen.push_back(label);
-        FoldGroup split;
-        split.hash = MixHash(group.hash, label);
-        refined.push_back(std::move(split));
-      }
-      refined[first_new + b].members.push_back(member);
-    }
-  }
-  // Renumber by minimum member ascending — SignatureIndex::Build numbers
-  // signatures by first appearance over objects 0..n-1, which is exactly
-  // this order.
-  std::sort(refined.begin(), refined.end(),
-            [](const FoldGroup& a, const FoldGroup& b) {
-              return a.members.front() < b.members.front();
-            });
-  groups_ = std::move(refined);
-  signature_of_.assign(n_, 0);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    for (std::size_t member : groups_[g].members) signature_of_[member] = g;
-  }
-}
-
-void StreamAggregator::PlaceObjectInFoldGroup(
-    std::size_t v, const std::vector<Clustering::Label>& tuple) {
-  std::uint64_t hash = kHashOffset;
-  for (Clustering::Label label : tuple) hash = MixHash(hash, label);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    if (groups_[g].hash != hash) continue;
-    const std::size_t rep = groups_[g].members.front();
-    bool equal = true;
-    for (std::size_t i = 0; i < tuple.size(); ++i) {
-      if (columns_[i][rep] != tuple[i]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) {
-      // v exceeds every existing id, so the group's minimum — and with it
-      // the ordering invariant — is untouched.
-      groups_[g].members.push_back(v);
-      signature_of_.push_back(g);
-      return;
-    }
-  }
-  FoldGroup fresh;
-  fresh.members.push_back(v);
-  fresh.hash = hash;
-  groups_.push_back(std::move(fresh));
-  signature_of_.push_back(groups_.size() - 1);
-}
-
-void StreamAggregator::RebuildFoldGroups() {
-  // Placing objects in ascending id order appends each to an existing
-  // signature group or opens a fresh one whose minimum is the new
-  // (maximal) id, so the groups come out ordered by minimum member with
-  // consistent running hashes — the same grouping the incremental
-  // maintenance produces for the same columns (see RestoreState).
-  groups_.clear();
-  signature_of_.clear();
-  std::vector<Clustering::Label> tuple(columns_.size());
-  for (std::size_t v = 0; v < n_; ++v) {
-    for (std::size_t i = 0; i < columns_.size(); ++i) {
-      tuple[i] = columns_[i][v];
-    }
-    PlaceObjectInFoldGroup(v, tuple);
-  }
+void StreamAggregator::RebuildFoldIndex() {
+  // With no clustering every object carries the empty label tuple: one
+  // signature, the grouping of a single constant clustering.
+  Result<ClusteringSet> input =
+      columns_.empty()
+          ? ClusteringSet::Create(
+                {Clustering(std::vector<Clustering::Label>(n_, 0))})
+          : CurrentInput();
+  CLUSTAGG_CHECK(input.ok());
+  fold_index_ = SignatureIndex::Build(*input);
 }
 
 void StreamAggregator::ExtendSolutionToNewObjects() {
@@ -492,66 +315,38 @@ void StreamAggregator::ExtendSolutionToNewObjects() {
   labels.reserve(n_);
   for (std::size_t v = labeled; v < n_; ++v) labels.push_back(next++);
   labels_ = Clustering(std::move(labels));
-  if (columns_.empty()) return;
+  if (source_ == nullptr) return;
+  std::vector<double> row(n_);
   for (std::size_t v = labeled; v < n_; ++v) {
-    const std::size_t base = PairIndex(0, v);
-    for (std::size_t u = 0; u < v; ++u) {
-      // The fresh singleton is apart from everything.
-      predicted_cost_ += 1.0 - PairDistance(base + u);
-    }
+    source_->FillRow(v, row);
+    // The fresh singleton is apart from everything.
+    for (std::size_t u = 0; u < v; ++u) predicted_cost_ += 1.0 - row[u];
   }
 }
 
-Result<CorrelationInstance> StreamAggregator::BuildRepairInstance() const {
-  if (options_.fold) {
-    const std::size_t s = groups_.size();
-    Result<SymmetricMatrix<float>> matrix = SymmetricMatrix<float>::Create(s);
-    if (!matrix.ok()) return matrix.status();
-    std::vector<double> multiplicities(s);
-    for (std::size_t g = 0; g < s; ++g) {
-      multiplicities[g] = static_cast<double>(groups_[g].members.size());
-      const std::size_t rep_g = groups_[g].members.front();
-      for (std::size_t h = g + 1; h < s; ++h) {
-        // Group minima are ascending, so rep_g < rep_h and the counter
-        // lookup needs no swap.
-        const std::size_t rep_h = groups_[h].members.front();
-        matrix->Set(g, h,
-                    static_cast<float>(PairDistanceRaw(
-                        separating_[PairIndex(rep_g, rep_h)],
-                        opinionated_[PairIndex(rep_g, rep_h)])));
-      }
-    }
-    return CorrelationInstance::FromSource(
-        std::make_shared<const DenseDistanceSource>(std::move(matrix).value()),
-        options_.num_threads, std::move(multiplicities));
+Result<CorrelationInstance> StreamAggregator::BuildInstance(
+    const ClusteringSet& input, bool folded) const {
+  // Exactly the instances Aggregate builds on the dense backend.
+  DistanceSourceOptions dense;
+  dense.num_threads = options_.num_threads;
+  if (!folded) {
+    return CorrelationInstance::Build(input, options_.missing, dense);
   }
-  Result<SymmetricMatrix<float>> matrix = SymmetricMatrix<float>::Create(n_);
-  if (!matrix.ok()) return matrix.status();
-  std::size_t idx = 0;
-  for (std::size_t v = 1; v < n_; ++v) {
-    for (std::size_t u = 0; u < v; ++u, ++idx) {
-      matrix->Set(u, v, static_cast<float>(PairDistance(idx)));
-    }
-  }
-  return CorrelationInstance::FromSource(
-      std::make_shared<const DenseDistanceSource>(std::move(matrix).value()),
-      options_.num_threads);
+  Result<CorrelationInstance> reps = CorrelationInstance::BuildSubset(
+      input, fold_index_.representatives(), options_.missing, dense);
+  if (!reps.ok()) return reps.status();
+  return CorrelationInstance::FromSource(reps->shared_source(),
+                                         options_.num_threads,
+                                         fold_index_.multiplicities());
 }
 
 Clustering StreamAggregator::FoldSolution(const Clustering& labels) const {
-  std::vector<Clustering::Label> folded(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    folded[g] = labels.label(groups_[g].members.front());
+  const std::vector<std::size_t>& reps = fold_index_.representatives();
+  std::vector<Clustering::Label> folded(reps.size());
+  for (std::size_t g = 0; g < reps.size(); ++g) {
+    folded[g] = labels.label(reps[g]);
   }
   return Clustering(std::move(folded));
-}
-
-Clustering StreamAggregator::ExpandSolution(const Clustering& folded) const {
-  std::vector<Clustering::Label> labels(n_);
-  for (std::size_t v = 0; v < n_; ++v) {
-    labels[v] = folded.label(signature_of_[v]);
-  }
-  return Clustering(std::move(labels)).Normalized();
 }
 
 Result<ClusteringSet> StreamAggregator::CurrentInput() const {
@@ -559,61 +354,34 @@ Result<ClusteringSet> StreamAggregator::CurrentInput() const {
     return Status::FailedPrecondition(
         "the stream has no applied clusterings yet");
   }
-  std::vector<Clustering> clusterings;
-  clusterings.reserve(columns_.size());
-  for (const std::vector<Clustering::Label>& column : columns_) {
-    clusterings.emplace_back(column);
-  }
-  return ClusteringSet::Create(std::move(clusterings), weights_);
+  return ColumnsAsInput(columns_, weights_);
 }
 
 Result<CorrelationInstance> StreamAggregator::Instance() const {
-  if (columns_.empty()) {
-    return Status::FailedPrecondition(
-        "the stream has no applied clusterings yet");
-  }
-  Result<SymmetricMatrix<float>> matrix = SymmetricMatrix<float>::Create(n_);
-  if (!matrix.ok()) return matrix.status();
-  std::size_t idx = 0;
-  for (std::size_t v = 1; v < n_; ++v) {
-    for (std::size_t u = 0; u < v; ++u, ++idx) {
-      matrix->Set(u, v, static_cast<float>(PairDistance(idx)));
-    }
-  }
-  return CorrelationInstance::FromSource(
-      std::make_shared<const DenseDistanceSource>(std::move(matrix).value()),
-      options_.num_threads);
+  Result<ClusteringSet> input = CurrentInput();
+  if (!input.ok()) return input.status();
+  return BuildInstance(*input, /*folded=*/false);
 }
 
 std::size_t StreamAggregator::fold_signatures() const {
-  return options_.fold ? groups_.size() : n_;
+  return options_.fold ? fold_index_.num_signatures() : n_;
 }
 
 std::vector<std::size_t> StreamAggregator::fold_representatives() const {
-  std::vector<std::size_t> reps;
-  if (!options_.fold) {
-    reps.resize(n_);
-    for (std::size_t v = 0; v < n_; ++v) reps[v] = v;
-    return reps;
-  }
-  reps.reserve(groups_.size());
-  for (const FoldGroup& group : groups_) reps.push_back(group.members.front());
+  if (options_.fold) return fold_index_.representatives();
+  std::vector<std::size_t> reps(n_);
+  for (std::size_t v = 0; v < n_; ++v) reps[v] = v;
   return reps;
 }
 
 std::vector<double> StreamAggregator::fold_multiplicities() const {
-  if (!options_.fold) return std::vector<double>(n_, 1.0);
-  std::vector<double> multiplicities;
-  multiplicities.reserve(groups_.size());
-  for (const FoldGroup& group : groups_) {
-    multiplicities.push_back(static_cast<double>(group.members.size()));
-  }
-  return multiplicities;
+  if (options_.fold) return fold_index_.multiplicities();
+  return std::vector<double>(n_, 1.0);
 }
 
 std::size_t StreamAggregator::signature_of(std::size_t v) const {
   CLUSTAGG_CHECK(v < n_);
-  return options_.fold ? signature_of_[v] : v;
+  return options_.fold ? fold_index_.signature_of(v) : v;
 }
 
 Result<StreamAggregatorState> StreamAggregator::ExportState() const {
@@ -628,8 +396,6 @@ Result<StreamAggregatorState> StreamAggregator::ExportState() const {
   state.columns = columns_;
   state.weights = weights_;
   state.total_weight = total_weight_;
-  state.separating = separating_;
-  state.opinionated = opinionated_;
   state.labels = labels_.labels();
   state.ever_clustered = ever_clustered_;
   state.cost = cost_;
@@ -649,7 +415,6 @@ Status StreamAggregator::RestoreState(StreamAggregatorState state) {
         "cannot restore state into a stream with queued events");
   }
   const std::size_t n = state.num_objects;
-  const std::size_t pairs = n > 1 ? n * (n - 1) / 2 : 0;
   if (state.weights.size() != state.columns.size()) {
     return Status::DataLoss("stream state holds " +
                             std::to_string(state.weights.size()) +
@@ -664,17 +429,32 @@ Status StreamAggregator::RestoreState(StreamAggregatorState state) {
           " objects, expected " + std::to_string(n));
     }
   }
-  if (state.separating.size() != pairs || state.opinionated.size() != pairs) {
+  if (!state.columns.empty()) {
+    // The validation every applied event passed in Ingest: labels >= 0
+    // or missing, weights finite and positive.
+    Result<ClusteringSet> input =
+        ColumnsAsInput(state.columns, state.weights);
+    if (!input.ok()) {
+      return Status::DataLoss("stream state inputs are malformed: " +
+                              std::string(input.status().message()));
+    }
+  }
+  double total_weight = 0.0;
+  for (double w : state.weights) total_weight += w;
+  if (!(state.total_weight == total_weight)) {
     return Status::DataLoss(
-        "stream state counter triangles hold " +
-        std::to_string(state.separating.size()) + " / " +
-        std::to_string(state.opinionated.size()) + " pairs, expected " +
-        std::to_string(pairs));
+        "stream state total weight disagrees with its clustering weights");
   }
   if (!state.labels.empty() && state.labels.size() != n) {
     return Status::DataLoss("stream state solution labels " +
                             std::to_string(state.labels.size()) +
                             " objects, expected " + std::to_string(n));
+  }
+  for (Clustering::Label label : state.labels) {
+    if (label < 0) {
+      return Status::DataLoss("stream state solution carries label " +
+                              std::to_string(label));
+    }
   }
   if (state.clustering_ids.size() != state.columns.size()) {
     return Status::DataLoss("stream state carries " +
@@ -705,9 +485,6 @@ Status StreamAggregator::RestoreState(StreamAggregatorState state) {
   n_ = n;
   columns_ = std::move(state.columns);
   weights_ = std::move(state.weights);
-  total_weight_ = state.total_weight;
-  separating_ = std::move(state.separating);
-  opinionated_ = std::move(state.opinionated);
   labels_ = Clustering(std::move(state.labels));
   ever_clustered_ = state.ever_clustered;
   cost_ = state.cost;
@@ -724,12 +501,9 @@ Status StreamAggregator::RestoreState(StreamAggregatorState state) {
   pending_object_ids_ = object_ids_;
   pending_next_clustering_id_ = next_clustering_id_;
   pending_next_object_id_ = next_object_id_;
-  // Rebuild the fold grouping by placing objects in ascending id order
-  // (see RebuildFoldGroups): the result is ordered by minimum member
-  // with the same tuple partition the incremental maintenance held.
-  groups_.clear();
-  signature_of_.clear();
-  if (options_.fold) RebuildFoldGroups();
+  // Distances and the fold grouping are functions of the columns alone.
+  RefreshColumns();
+  if (options_.fold) RebuildFoldIndex();
   return Status::OK();
 }
 
@@ -787,6 +561,7 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
                    report.pairs_touched);
   }
   ExtendSolutionToNewObjects();
+  if (options_.fold) RebuildFoldIndex();
   TelemetrySetGauge(telemetry, "stream.objects",
                     static_cast<std::int64_t>(n_));
   TelemetrySetGauge(telemetry, "stream.clusterings",
@@ -803,7 +578,10 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
     return report;
   }
   report.predicted_cost = predicted_cost_;
-  Result<CorrelationInstance> repair_instance = BuildRepairInstance();
+  Result<ClusteringSet> input = CurrentInput();
+  if (!input.ok()) return input.status();
+  Result<CorrelationInstance> repair_instance =
+      BuildInstance(*input, options_.fold);
   if (!repair_instance.ok()) return repair_instance.status();
   const CorrelationInstance& instance = *repair_instance;
   // A batch cut short mid-apply skips the solution fix-up entirely: the
@@ -815,8 +593,6 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
     if (rebuild) {
       InstrumentedSpan span(telemetry, "stream.rebuild");
       InstrumentedTimer timer(telemetry, "stream.repair.rebuild_nanos");
-      Result<ClusteringSet> input = CurrentInput();
-      if (!input.ok()) return input.status();
       AggregatorOptions aggregate = options_.rebuild;
       aggregate.missing = options_.missing;
       aggregate.num_threads = options_.num_threads;
@@ -836,12 +612,10 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
       const Clustering initial =
           options_.fold ? FoldSolution(labels_) : labels_;
       Result<ClustererRun> repaired =
-          options_.repair_policy == StreamRepairPolicy::kOnline
-              ? OnlineRepair(instance, initial, run)
-              : LocalSearchClusterer(options_.repair)
-                    .RunFromControlled(instance, initial, run);
+          LocalSearchClusterer(options_.repair)
+              .RunFromControlled(instance, initial, run);
       if (!repaired.ok()) return repaired.status();
-      labels_ = options_.fold ? ExpandSolution(repaired->clustering)
+      labels_ = options_.fold ? fold_index_.Expand(repaired->clustering)
                               : std::move(repaired->clustering);
       report.outcome = MergeOutcomes(report.outcome, repaired->outcome);
       report.repaired = true;

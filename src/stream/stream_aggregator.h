@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/run_context.h"
@@ -12,22 +13,12 @@
 #include "core/clustering.h"
 #include "core/clustering_set.h"
 #include "core/correlation_instance.h"
+#include "core/distance_source.h"
 #include "core/local_search.h"
+#include "core/signature_index.h"
 #include "stream/stream_event.h"
 
 namespace clustagg {
-
-/// Which solution fix-up Flush runs after applying a batch (below the
-/// drift-triggered rebuild, which always wins).
-enum class StreamRepairPolicy {
-  /// Warm-started LOCALSEARCH from the current solution (the default;
-  /// PR 5 semantics).
-  kLocalSearch,
-  /// The online agglomerative repair of Mathieu–Sankur–Schudy: greedily
-  /// place newcomer singletons, then merge cluster pairs while a merge
-  /// reduces cost (see src/stream/online_repair.h).
-  kOnline,
-};
 
 /// Knobs for the streaming aggregation workload.
 struct StreamAggregatorOptions {
@@ -40,21 +31,16 @@ struct StreamAggregatorOptions {
   /// are thread-count independent either way.
   std::size_t num_threads = 0;
 
-  /// Maintain duplicate-signature folding incrementally: AddClustering
-  /// refines the signature groups by the new labels (a group can only
-  /// split), AddObject matches the new object's label tuple against the
-  /// existing groups. Repair then runs over one weighted representative
-  /// per signature, exactly like AggregatorOptions::fold.
+  /// Duplicate-signature folding: every Flush regroups the objects with
+  /// SignatureIndex::Build over the alive columns, and repair runs over
+  /// one weighted representative per signature, exactly like
+  /// AggregatorOptions::fold.
   bool fold = false;
 
   /// Warm-start repair sweep applied by Flush: LOCALSEARCH from the
-  /// current solution on the incrementally maintained instance (the
-  /// M(v,C) bookkeeping of src/core/local_search.cc, warm-started
-  /// instead of cold).
+  /// current solution on the flush's instance (the M(v,C) bookkeeping
+  /// of src/core/local_search.cc, warm-started instead of cold).
   LocalSearchOptions repair;
-
-  /// Which repair the non-rebuild path runs (see StreamRepairPolicy).
-  StreamRepairPolicy repair_policy = StreamRepairPolicy::kLocalSearch;
 
   /// Sliding window over input clusterings: when nonzero, applying a
   /// clustering that would leave more than `window` alive auto-evicts
@@ -71,7 +57,7 @@ struct StreamAggregatorOptions {
   AggregatorOptions rebuild;
 
   /// Accumulated-drift trigger for the rebuild fallback. Drift is the
-  /// mean absolute change of the maintained X entries since the last
+  /// mean absolute change of the X entries since the last
   /// full re-cluster (a brand-new pair charges its unavoidable-cost mass
   /// min(X, 1-X)); 0 forces a rebuild on every Flush that touched a
   /// pair, and an unreachably large value keeps warm repair forever.
@@ -93,8 +79,7 @@ struct StreamFlushReport {
   double drift = 0.0;
   /// True when the rebuild fallback ran (full Aggregate).
   bool rebuilt = false;
-  /// True when the warm repair (LOCALSEARCH or online, per
-  /// StreamAggregatorOptions::repair_policy) ran.
+  /// True when the warm-started LOCALSEARCH repair ran.
   bool repaired = false;
   /// The complete warm-start partition handed to repair (objects added
   /// by this batch appear as fresh singletons). Set for repaired and
@@ -102,7 +87,7 @@ struct StreamFlushReport {
   /// the new objects — so differential oracles can replay the repair.
   Clustering pre_repair;
   /// Exact correlation cost of the post-flush solution on the stream's
-  /// maintained instance (the folded instance when folding is active),
+  /// instance (the folded instance when folding is active),
   /// recomputed outside the batch budget like Aggregate's final scoring.
   /// Equal to the delta-tracked prediction up to float accumulation.
   double cost = 0.0;
@@ -120,21 +105,19 @@ struct StreamFlushReport {
 /// cursor counts whole journal records, never half-applied ones (see
 /// docs/durability.md).
 ///
-/// The pair counters are serialized verbatim rather than recomputed
-/// from the columns so a restored stream reproduces the original's
-/// distances bit for bit by construction, not by an argument about
-/// floating-point accumulation order. The fold grouping, by contrast,
-/// is *not* serialized: RestoreState rebuilds it from the columns, and
-/// the rebuild provably reproduces the incrementally maintained
-/// grouping (groups ordered by minimum member, identical tuple
-/// partition).
+/// The state is O(n m): the label columns and weights are the stream's
+/// only per-pair information. Every X_uv is a pure function of them
+/// (the batch kernel over the alive columns), and so is the fold
+/// grouping (SignatureIndex::Build), so RestoreState recomputes both
+/// and the restored stream answers bit-identically by construction.
+/// The scalars that depend on the event *history* — drift, the tracked
+/// cost, the flush count — are carried verbatim.
 struct StreamAggregatorState {
   std::size_t num_objects = 0;
   std::vector<std::vector<Clustering::Label>> columns;
   std::vector<double> weights;
+  /// Ascending-order sum of `weights`; RestoreState rejects a mismatch.
   double total_weight = 0.0;
-  std::vector<double> separating;
-  std::vector<double> opinionated;
   std::vector<Clustering::Label> labels;
   bool ever_clustered = false;
   double cost = 0.0;
@@ -153,41 +136,40 @@ struct StreamAggregatorState {
 };
 
 /// Online clustering aggregation: ingests AddClustering / AddObject /
-/// RemoveClustering / RemoveObject events and maintains, incrementally,
-///   - the pairwise agree/separate weight counters behind X_uv, updated
-///     O(n) per object and O(n^2) per clustering (delta-batched: events
-///     queue in Ingest and apply on Flush); removals decrement
-///     symmetrically (see below) and an optional sliding window
-///     auto-evicts the oldest clustering,
-///   - the duplicate-signature fold grouping (optional),
+/// RemoveClustering / RemoveObject events (delta-batched: events queue
+/// in Ingest and apply on Flush; an optional sliding window auto-evicts
+/// the oldest clustering) and maintains
+///   - the applied label columns and weights — the stream's only
+///     per-pair state — plus a LazyDistanceSource over them, rebuilt in
+///     O(n m) whenever they change, that answers distance(),
+///   - the duplicate-signature fold grouping (optional), recomputed by
+///     SignatureIndex::Build at every Flush,
 ///   - a current solution, fixed up after each batch by a warm-started
-///     repair (LOCALSEARCH or the online agglomerative policy), with a
-///     drift-triggered fallback to the full Aggregate pipeline.
+///     LOCALSEARCH repair, with a drift-triggered fallback to the full
+///     Aggregate pipeline.
 ///
-/// The maintained distances are bit-identical to a from-scratch
-/// CorrelationInstance::Build over the *surviving* inputs on either
-/// backend: counters accumulate clustering weights in ascending
-/// clustering order — the exact accumulation order of
-/// ClusteringSet::PairwiseDistance and the dense/lazy kernels — and
-/// every query rounds through float the same way. Removing a clustering
-/// keeps this exact: with uniform unit weights the counters are integer
-/// sums and the decrement is exact; otherwise the touched counters are
-/// re-accumulated over the survivors in ascending order. Removing an
-/// object never changes a surviving counter at all — the packed
-/// column-major triangle is compacted in order. The differential suite
+/// Because X_uv is always computed by the batch kernel over the
+/// *surviving* columns, the stream's distances, fold grouping, repair
+/// instance and cost are bit-identical to a from-scratch
+/// CorrelationInstance::Build over the same inputs on either backend,
+/// removals and evictions included. The differential suite
 /// (tests/stream_differential_test.cc) pins this for every event log
-/// prefix, evictions included.
+/// prefix.
 ///
-/// Memory: O(n^2) counters plus O(n m) label columns. The counters are
-/// what buy O(1) per-pair updates; streams too large for them should
-/// batch into the lazy-backend Aggregate instead (see docs/streaming.md).
+/// Drift bookkeeping is the one incremental piece: each clustering add,
+/// removal or eviction sweeps every pair in (v ascending, u < v) order,
+/// FillRow-ing X before and after the change; an object add or removal
+/// reads the one row it creates or deletes.
+///
+/// Memory: O(n m) label columns plus the O(n^2) float instance each
+/// Flush builds for repair and scoring (see docs/streaming.md).
 ///
 /// Not thread-safe; one stream is owned by one orchestration thread.
 class StreamAggregator {
  public:
   explicit StreamAggregator(StreamAggregatorOptions options = {});
 
-  /// Validates and queues one event (cheap; no counter work). The labels
+  /// Validates and queues one event (cheap; no distance work). The labels
   /// must cover the stream's state *including previously queued events*:
   /// an AddClustering after a queued AddObject covers the new object
   /// too. While no clustering exists yet, an AddClustering may carry
@@ -198,8 +180,7 @@ class StreamAggregator {
   /// Errors leave the queue unchanged.
   Status Ingest(StreamEvent event);
 
-  /// Applies every queued event to the counters (and fold grouping),
-  /// evicting the oldest clustering whenever the window overflows,
+  /// Applies every queued event to the columns, evicting the oldest clustering whenever the window overflows,
   /// extends the solution with fresh singletons for new objects, then
   /// fixes the solution up: warm repair, or the full Aggregate rebuild
   /// when accumulated drift exceeds the threshold (and always on the
@@ -238,7 +219,7 @@ class StreamAggregator {
   /// first Flush of a nonempty stream).
   const Clustering& labels() const { return labels_; }
 
-  /// Exact cost of labels() on the maintained instance, as of the last
+  /// Exact cost of labels() on the stream's instance, as of the last
   /// Flush.
   double cost() const { return cost_; }
 
@@ -246,7 +227,7 @@ class StreamAggregator {
   /// StreamAggregatorOptions::rebuild_threshold).
   double drift() const;
 
-  /// X_uv from the maintained counters (0 when u == v, or before any
+  /// X_uv over the alive columns (0 when u == v, or before any
   /// clustering was applied). Bit-identical to the batch backends.
   double distance(std::size_t u, std::size_t v) const;
 
@@ -254,7 +235,8 @@ class StreamAggregator {
   /// streamed weights) — what a from-scratch rebuild aggregates.
   Result<ClusteringSet> CurrentInput() const;
 
-  /// Dense snapshot instance over the maintained (unfolded) distances.
+  /// Dense instance over the alive inputs (unfolded), built like
+  /// Aggregate builds it.
   Result<CorrelationInstance> Instance() const;
 
   /// Fold-grouping introspection (meaningful when options.fold is set;
@@ -275,51 +257,40 @@ class StreamAggregator {
   /// held. The receiving aggregator must be idle (no queued events) and
   /// must have been constructed with the same options the exporter ran
   /// under — the state does not carry options, and mixing them silently
-  /// changes every maintained distance. Internally-inconsistent state
-  /// (mismatched column lengths, wrong counter triangle size, id
-  /// vectors that are not strictly ascending below their next-id) yields
-  /// kDataLoss. The fold grouping is rebuilt from the columns when
-  /// options.fold is set.
+  /// changes every distance. Internally-inconsistent state (mismatched
+  /// column lengths, malformed labels or weights, a total weight that
+  /// is not the sum of the weights, id vectors that are not strictly
+  /// ascending below their next-id) yields kDataLoss. Distances and the
+  /// fold grouping are recomputed from the columns.
   Status RestoreState(StreamAggregatorState state);
 
  private:
-  struct FoldGroup {
-    std::vector<std::size_t> members;  // ascending object ids
-    std::uint64_t hash = 0;            // running hash of the label tuple
-  };
-
   void ApplyAddClustering(const AddClusteringEvent& event,
                           StreamFlushReport* report);
   void ApplyAddObject(const AddObjectEvent& event,
                       StreamFlushReport* report);
   /// Removes the alive clustering with stable id `id` (which Ingest
-  /// guaranteed exists), decrementing every touched pair counter
-  /// bit-exactly (integer decrement under uniform unit weights,
-  /// ascending re-accumulation over the survivors otherwise).
+  /// guaranteed exists).
   void ApplyRemoveClustering(std::uint64_t id, StreamFlushReport* report);
-  /// Removes the alive object with stable id `id`: compacts the packed
-  /// triangle in order (surviving counters byte-identical), drops the
-  /// object from every column, the solution, and the fold grouping.
+  /// Removes the alive object with stable id `id` from every column and
+  /// the solution.
   void ApplyRemoveObject(std::uint64_t id, StreamFlushReport* report);
-  void RefineFoldGroups(const std::vector<Clustering::Label>& labels);
-  void PlaceObjectInFoldGroup(std::size_t v,
-                              const std::vector<Clustering::Label>& tuple);
-  /// Rebuilds the fold grouping from the columns by ascending placement
-  /// (removals can merge groups, which the split-only incremental
-  /// refinement cannot express).
-  void RebuildFoldGroups();
+  /// Recomputes total_weight_ and source_ after the columns changed.
+  void RefreshColumns();
+  /// Charges the move of every X_uv from `before` (nullptr = all zero)
+  /// to source_ to drift and to the tracked cost, in (v ascending,
+  /// u < v) order.
+  void SweepPairs(const DistanceSource* before, StreamFlushReport* report);
+  /// Regroups the objects by signature over the alive columns.
+  void RebuildFoldIndex();
   /// Extends labels_ with one fresh singleton per not-yet-labeled object
   /// and charges their pairs' contribution to the tracked cost.
   void ExtendSolutionToNewObjects();
-  /// X from one pair's counters, before the float rounding.
-  double PairDistanceRaw(double disagreeing, double opinionated) const;
-  /// X_uv rounded through float (the maintained-instance value).
-  double PairDistance(std::size_t pair_index) const;
-  /// The instance repair sweeps over: folded s x s with multiplicities
-  /// when folding is active, the full n x n otherwise.
-  Result<CorrelationInstance> BuildRepairInstance() const;
+  /// The dense instance over `input` (this stream's columns), folded to
+  /// one weighted representative per signature when `folded`.
+  Result<CorrelationInstance> BuildInstance(const ClusteringSet& input,
+                                            bool folded) const;
   Clustering FoldSolution(const Clustering& labels) const;
-  Clustering ExpandSolution(const Clustering& folded) const;
 
   StreamAggregatorOptions options_;
 
@@ -339,12 +310,9 @@ class StreamAggregator {
   std::uint64_t next_object_id_ = 0;
   std::uint64_t evictions_ = 0;
 
-  /// Packed pair counters, indexed v*(v-1)/2 + u for u < v (the
-  /// column-major triangle, so AddObject appends a contiguous block):
-  /// total weight of applied clusterings separating / having an opinion
-  /// on the pair, accumulated in ascending clustering order.
-  std::vector<double> separating_;
-  std::vector<double> opinionated_;
+  /// X over the applied columns; nullptr while no pair has a distance
+  /// (no clustering, or fewer than two objects).
+  std::shared_ptr<const LazyDistanceSource> source_;
 
   /// Queued events plus the state they imply (for validation): the id
   /// mirrors simulate every queued add, removal, and window eviction
@@ -358,11 +326,9 @@ class StreamAggregator {
   std::uint64_t pending_next_clustering_id_ = 0;
   std::uint64_t pending_next_object_id_ = 0;
 
-  /// Incremental fold grouping (maintained only when options_.fold):
-  /// groups ordered by first member ascending — SignatureIndex::Build's
-  /// numbering — and the group of each object.
-  std::vector<FoldGroup> groups_;
-  std::vector<std::size_t> signature_of_;
+  /// Signature grouping of the applied objects (maintained only when
+  /// options_.fold), rebuilt at every Flush and RestoreState.
+  SignatureIndex fold_index_;
 
   Clustering labels_;
   bool ever_clustered_ = false;

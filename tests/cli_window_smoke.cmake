@@ -55,19 +55,6 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "adjusted rand index:  1.0000")
                       "got: ${out}")
 endif()
 
-# The online repair policy runs the same log end to end.
-execute_process(COMMAND ${CLI} aggregate --stream ${WORK}/window.events
-                --window 2 --repair online --threads 1
-                --out ${WORK}/online.labels
-                RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--repair online replay failed (${rc}): ${err}")
-endif()
-if(NOT err MATCHES "window 2 evicted 4 clusterings \\(2 alive\\)")
-  message(FATAL_ERROR "online repair should evict identically, "
-                      "got: ${err}")
-endif()
-
 # Explicit removal directives: drop one clustering and one object by
 # stable id; the final dimensions must reflect both.
 file(WRITE ${WORK}/removal.events
@@ -117,17 +104,10 @@ if(NOT err MATCHES "already-removed")
                       "got: ${err}")
 endif()
 
-# Flag validation: a non-positive window and an unknown repair policy
-# are rejected up front.
+# Flag validation: a non-positive window is rejected up front.
 execute_process(COMMAND ${CLI} aggregate --stream ${WORK}/window.events
                 --window 0
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "--window 0 should exit 2, got ${rc}")
-endif()
-execute_process(COMMAND ${CLI} aggregate --stream ${WORK}/window.events
-                --repair sideways
-                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "--repair sideways should exit 2, got ${rc}")
 endif()

@@ -12,6 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -400,8 +402,6 @@ void ExpectStatesEqual(const StreamAggregatorState& a,
   EXPECT_EQ(a.columns, b.columns);
   EXPECT_EQ(a.weights, b.weights);
   EXPECT_EQ(a.total_weight, b.total_weight);
-  EXPECT_EQ(a.separating, b.separating);
-  EXPECT_EQ(a.opinionated, b.opinionated);
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_EQ(a.ever_clustered, b.ever_clustered);
   EXPECT_EQ(a.cost, b.cost);
@@ -474,6 +474,25 @@ TEST(SnapshotTest, RejectsAFutureFormatVersion) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
       << decoded.status().message();
+}
+
+TEST(SnapshotTest, RejectsEveryOlderFormatVersion) {
+  // v1 (no stable ids) and v2 (O(n^2) pair counters) are refused, never
+  // upgraded: the stream recovers from its journal instead.
+  StreamSnapshot snapshot;
+  snapshot.state = SampleState();
+  const std::string encoded = EncodeSnapshot(snapshot);
+  for (std::uint32_t version = 1; version < kSnapshotVersion; ++version) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = encoded;
+    bytes[4] = static_cast<char>(version);
+    bytes = WithFixedSnapshotCrc(std::move(bytes));
+    Result<StreamSnapshot> decoded = DecodeSnapshot(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
+        << decoded.status().message();
+  }
 }
 
 TEST(SnapshotTest, RejectsAChecksumMismatch) {
@@ -556,13 +575,6 @@ TEST(StreamStateTest, RestoreRejectsInternallyInconsistentState) {
   {
     StreamAggregatorState state = *exported;  // one weight per column
     state.weights.pop_back();
-    StreamAggregator stream(StreamOptions(false, false));
-    EXPECT_EQ(stream.RestoreState(std::move(state)).code(),
-              StatusCode::kDataLoss);
-  }
-  {
-    StreamAggregatorState state = *exported;  // wrong counter triangle
-    state.separating.pop_back();
     StreamAggregator stream(StreamOptions(false, false));
     EXPECT_EQ(stream.RestoreState(std::move(state)).code(),
               StatusCode::kDataLoss);
@@ -726,9 +738,13 @@ TEST(DurabilityTest, SnapshotSkipsTheCoveredReplaySuffix) {
   }
   EXPECT_EQ(telemetry.counter("durability.journal_appends")->value(),
             records.size());
+#if defined(CLUSTAGG_TELEMETRY_ENABLED)
+  // Snapshot and recovery counters go through TelemetryCount, which a
+  // CLUSTAGG_TELEMETRY=OFF build compiles out.
   EXPECT_EQ(telemetry.counter("durability.snapshots_written")->value(),
             markers);
   EXPECT_GT(telemetry.counter("durability.snapshot_bytes")->value(), 0u);
+#endif
 
   // The workload ends on a marker and every marker snapshots, so the
   // newest snapshot covers the whole journal: recovery replays nothing.
@@ -742,11 +758,13 @@ TEST(DurabilityTest, SnapshotSkipsTheCoveredReplaySuffix) {
   EXPECT_EQ(report.snapshot_records, records.size());
   EXPECT_EQ(report.journal_records, records.size());
   EXPECT_EQ(report.replayed_records, 0u);
+#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   EXPECT_EQ(recovery_telemetry.counter("durability.recovery.runs")->value(),
             1u);
   EXPECT_EQ(recovery_telemetry.counter("durability.recovery.replayed_records")
                 ->value(),
             0u);
+#endif
   oracle::ExpectStreamsBitIdentical((*reopened)->stream(),
                                     PlainReplay(options, records));
 }
@@ -856,6 +874,131 @@ TEST(DurabilityTest, AJournalPrunedBehindTheSnapshotRefusesToOpen) {
       DurableStreamAggregator::Open(options, durability);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss);
+}
+
+// Structured mutations: the byte-soup and bit-flip fuzzers never get
+// past the CRC, so this one decodes a valid snapshot, corrupts exactly
+// one field of the decoded state, and re-encodes it with a fresh CRC.
+// Every mutation must fail closed with kDataLoss — in DecodeSnapshot
+// when the body no longer parses, in RestoreState when it parses into
+// an inconsistent state — and none may reach a CHECK.
+TEST(SnapshotTest, StructuredFieldMutationsFailClosedWithDataLoss) {
+  StreamSnapshot valid;
+  valid.state = SampleState();
+  valid.journal_records = 23;
+  const StreamAggregatorState& base = valid.state;
+  ASSERT_GE(base.columns.size(), 2u);
+  ASSERT_GE(base.object_ids.size(), 2u);
+  ASSERT_EQ(base.labels.size(), base.num_objects);
+  const auto resum = [](StreamAggregatorState* s) {
+    s->total_weight = 0.0;
+    for (double w : s->weights) s->total_weight += w;
+  };
+  struct Mutation {
+    const char* name;
+    std::function<void(StreamAggregatorState*)> apply;
+  };
+  const Mutation mutations[] = {
+      {"column one label short", [](auto* s) { s->columns[1].pop_back(); }},
+      {"column one label long", [](auto* s) { s->columns[0].push_back(0); }},
+      {"object count off by one", [](auto* s) { ++s->num_objects; }},
+      {"weights count short",
+       [&](auto* s) {
+         s->weights.pop_back();
+         resum(s);
+       }},
+      {"weights count long",
+       [&](auto* s) {
+         s->weights.push_back(1.0);
+         resum(s);
+       }},
+      {"negative non-missing column label",
+       [](auto* s) { s->columns[0][1] = -7; }},
+      {"negative solution label", [](auto* s) { s->labels[0] = -2; }},
+      {"zero weight",
+       [&](auto* s) {
+         s->weights[0] = 0.0;
+         resum(s);
+       }},
+      {"negative weight",
+       [&](auto* s) {
+         s->weights[1] = -1.5;
+         resum(s);
+       }},
+      {"NaN weight",
+       [&](auto* s) {
+         s->weights[0] = std::numeric_limits<double>::quiet_NaN();
+         resum(s);
+       }},
+      {"infinite weight",
+       [&](auto* s) {
+         s->weights[0] = std::numeric_limits<double>::infinity();
+         resum(s);
+       }},
+      {"total weight off its weights", [](auto* s) { s->total_weight += 1.0; }},
+      {"object ids out of order",
+       [](auto* s) {
+         std::swap(s->object_ids.front(), s->object_ids.back());
+       }},
+      {"clustering ids out of order",
+       [](auto* s) {
+         std::swap(s->clustering_ids.front(), s->clustering_ids.back());
+       }},
+      {"duplicate object id",
+       [](auto* s) { s->object_ids[1] = s->object_ids[0]; }},
+      {"next object id not above the alive ids",
+       [](auto* s) { s->next_object_id = s->object_ids.back(); }},
+      {"labels over n + 1 objects", [](auto* s) { s->labels.push_back(0); }},
+      {"labels over n - 1 objects", [](auto* s) { s->labels.pop_back(); }},
+  };
+  {
+    // The unmutated control restores, so every failure below is the
+    // mutation's doing.
+    Result<StreamSnapshot> decoded = DecodeSnapshot(EncodeSnapshot(valid));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    StreamAggregator stream(StreamOptions(/*fold=*/true, false));
+    ASSERT_TRUE(stream.RestoreState(std::move(decoded->state)).ok());
+  }
+  for (const Mutation& mutation : mutations) {
+    SCOPED_TRACE(mutation.name);
+    Result<StreamSnapshot> decoded = DecodeSnapshot(EncodeSnapshot(valid));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    mutation.apply(&decoded->state);
+    Result<StreamSnapshot> reread = DecodeSnapshot(EncodeSnapshot(*decoded));
+    if (!reread.ok()) {
+      EXPECT_EQ(reread.status().code(), StatusCode::kDataLoss)
+          << reread.status().message();
+      continue;
+    }
+    StreamAggregator stream(StreamOptions(/*fold=*/true, false));
+    const Status restored = stream.RestoreState(std::move(reread->state));
+    EXPECT_EQ(restored.code(), StatusCode::kDataLoss) << restored.message();
+  }
+
+  // The cursor is only checkable against its journal: one past the
+  // journal's record count (or far past it) refuses to open.
+  const std::string journal = TempPath("mutated_cursor.journal");
+  const std::string snapshot = journal + ".snap";
+  const StreamAggregatorOptions options = StreamOptions(false, false);
+  DurabilityOptions durability;
+  durability.journal_path = journal;
+  durability.snapshot_every = 1;
+  for (const std::uint64_t extra : {std::uint64_t{1}, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("cursor past the journal by " + std::to_string(extra));
+    Clean({journal, snapshot, snapshot + ".tmp"});
+    const std::vector<StreamRecord> records = Workload(59, /*fold=*/false);
+    ASSERT_TRUE(
+        DriveDurable(options, durability, FileSystem::Real(), records).ok());
+    Result<StreamSnapshot> decoded = DecodeSnapshot(ReadBytes(snapshot));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    decoded->journal_records = records.size() + extra;
+    WriteBytes(snapshot, EncodeSnapshot(*decoded));
+    Result<std::unique_ptr<DurableStreamAggregator>> reopened =
+        DurableStreamAggregator::Open(options, durability);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss)
+        << reopened.status().message();
+  }
 }
 
 TEST(DurabilityTest, AJournalFailurePoisonsEveryLaterCall) {

@@ -458,8 +458,6 @@ TEST_P(ParserFuzzTest, DecodeSnapshotRejectsEveryTruncationAndBitFlip) {
   snapshot.state.columns = {{0, 0, 1}, {0, 1, 1}};
   snapshot.state.weights = {1.0, 2.0};
   snapshot.state.total_weight = 3.0;
-  snapshot.state.separating = {1.0, 1.0, 2.0};
-  snapshot.state.opinionated = {3.0, 3.0, 3.0};
   snapshot.state.labels = {0, 0, 1};
   snapshot.state.ever_clustered = true;
   snapshot.state.flush_count = 2;

@@ -28,7 +28,6 @@
 #include "core/correlation_instance.h"
 #include "core/local_search.h"
 #include "core/signature_index.h"
-#include "stream/online_repair.h"
 #include "stream/stream_aggregator.h"
 #include "stream/stream_event.h"
 
@@ -323,7 +322,7 @@ inline void ExpectSameDistances(const StreamAggregator& stream,
   }
 }
 
-/// EXPECTs the stream's incremental fold grouping identical to a
+/// EXPECTs the stream's fold grouping identical to a
 /// from-scratch SignatureIndex::Build over the prefix: same signature
 /// count, numbering, representatives, and multiplicities.
 inline void ExpectSameFold(const StreamAggregator& stream,
@@ -340,7 +339,7 @@ inline void ExpectSameFold(const StreamAggregator& stream,
 /// Full per-prefix differential check against the last flush's report:
 ///  - the maintained X matrix equals the batch instance bit for bit on
 ///    both backends,
-///  - with folding, the incremental grouping equals SignatureIndex and
+///  - with folding, the stream's grouping equals SignatureIndex and
 ///    the folded distances match too,
 ///  - replaying the flush's own fix-up (warm LOCALSEARCH from the
 ///    recorded pre-repair partition, or the full Aggregate rebuild) on
@@ -398,10 +397,8 @@ inline void ExpectStreamMatchesBatch(const StreamAggregator& stream,
                                  ? FoldByIndex(report.pre_repair, index)
                                  : report.pre_repair;
     Result<ClustererRun> repaired =
-        options.repair_policy == StreamRepairPolicy::kOnline
-            ? OnlineRepair(scored, start, RunContext())
-            : LocalSearchClusterer(options.repair)
-                  .RunFromControlled(scored, start, RunContext());
+        LocalSearchClusterer(options.repair)
+            .RunFromControlled(scored, start, RunContext());
     ASSERT_TRUE(repaired.ok()) << repaired.status().message();
     const Clustering expected =
         options.fold ? index.Expand(repaired->clustering)

@@ -210,8 +210,8 @@ TEST(PropertyTest, CostInvariantUnderObjectReordering) {
 
 // ---- Stream axioms -------------------------------------------------
 //
-// The streaming counters are sums of clustering weights; with unit
-// weights the sums are exact integers, so reordering the summands
+// The stream's X sums clustering weights over the alive columns; with
+// unit weights the sums are exact integers, so reordering the summands
 // cannot change them and the axioms below hold *bit-exactly* (missing
 // markers included — they only choose which unit summands appear).
 
@@ -322,12 +322,10 @@ TEST(PropertyTest, StreamObjectAndClusteringCommute) {
   }
 }
 
-// (g) Adding a clustering and then removing it again is a counter-exact
-// no-op: X, cost, and labels land bit-identical to a stream that never
-// saw the pair. Unit weight exercises the integer-exact decrement path;
-// the fractional weight forces the general re-accumulation path, which
-// must land on the same bits because the survivors re-sum in the same
-// ascending order the base stream used.
+// (g) Adding a clustering and then removing it again is an exact no-op:
+// X, cost, and labels land bit-identical to a stream that never saw the
+// pair, for unit and fractional weights alike, because the surviving
+// columns re-sum in the same ascending order the base stream used.
 TEST(PropertyTest, StreamAddThenRemoveClusteringIsANoOp) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));

@@ -71,13 +71,12 @@ EventLogShape ShapeFor(const Fixture& fixture, Rng* rng) {
   return shape;
 }
 
-/// Extra knobs for the removal / window / repair-policy regimes; the
-/// all-defaults value reproduces the pre-removal differential exactly.
+/// Extra knobs for the removal / window regimes; the all-defaults value
+/// reproduces the pre-removal differential exactly.
 struct Churn {
   double remove_clustering_probability = 0.0;
   double remove_object_probability = 0.0;
   std::size_t window = 0;
-  StreamRepairPolicy policy = StreamRepairPolicy::kLocalSearch;
 };
 
 /// Replays the log one record at a time and runs the full oracle
@@ -93,7 +92,6 @@ void RunDifferential(const Fixture& fixture, double rebuild_threshold,
   const std::vector<StreamRecord> records = RandomEventLog(shape, &rng);
   StreamAggregatorOptions options = OptionsFor(fixture, rebuild_threshold);
   options.window = churn.window;
-  options.repair_policy = churn.policy;
   StreamAggregator stream(options);
   BatchMirror mirror(churn.window);
   std::size_t flushes = 0;
@@ -119,7 +117,7 @@ void RunDifferential(const Fixture& fixture, double rebuild_threshold,
 
 // The headline invariant, warm-repair regime: a high threshold keeps
 // every flush on the incremental LOCALSEARCH repair path (after the
-// initial build), so the comparison exercises the counter maintenance
+// initial build), so the comparison exercises the column maintenance
 // and the warm-started repair against the batch rebuild.
 TEST(StreamDifferentialTest, WarmRepairMatchesBatchOnEveryPrefix) {
   for (const Fixture& fixture : kFixtures) {
@@ -221,26 +219,6 @@ TEST(StreamDifferentialTest, WindowPlusExplicitRemovalsMatchBatch) {
   churn.remove_object_probability = 0.15;
   for (const Fixture& fixture : kFixtures) {
     for (std::uint64_t seed = 51; seed <= 53; ++seed) {
-      SCOPED_TRACE(std::string(fixture.name) +
-                   ", seed = " + std::to_string(seed));
-      RunDifferential(fixture, 1e9, seed, churn);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-// Online agglomerative repair policy: same prefix pinning with
-// --repair=online, removals and window included. The oracle replays
-// OnlineRepair on the batch artifacts, so labels and cost must match
-// bit for bit exactly like the warm-LOCALSEARCH policy.
-TEST(StreamDifferentialTest, OnlineRepairMatchesBatchOnEveryPrefix) {
-  Churn churn;
-  churn.policy = StreamRepairPolicy::kOnline;
-  churn.remove_clustering_probability = 0.2;
-  churn.remove_object_probability = 0.15;
-  churn.window = 5;
-  for (const Fixture& fixture : kFixtures) {
-    for (std::uint64_t seed = 61; seed <= 64; ++seed) {
       SCOPED_TRACE(std::string(fixture.name) +
                    ", seed = " + std::to_string(seed));
       RunDifferential(fixture, 1e9, seed, churn);

@@ -1,9 +1,11 @@
 // Unit tests for the streaming subsystem: event-log parsing and
-// round-tripping, Ingest validation, flush edge cases, incremental fold
-// revalidation against SignatureIndex, the drift/rebuild policy, the
-// replay helper, and the stream.* telemetry wiring.
+// round-tripping, Ingest validation, flush edge cases, fold revalidation
+// against SignatureIndex, the drift/rebuild policy and a golden pin of
+// its exact bits, the replay helper, and the stream.* telemetry wiring.
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <variant>
 #include <vector>
@@ -270,30 +272,6 @@ TEST(StreamAggregatorTest, RemovalShrinksStateAndCountersExactly) {
   EXPECT_EQ(stream.distance(0, 1), 1.0);  // was the (0, 2) pair
 }
 
-TEST(StreamAggregatorTest, OnlineRepairPolicyMergesAgreeingClusters) {
-  StreamAggregatorOptions options;
-  options.repair_policy = StreamRepairPolicy::kOnline;
-  options.rebuild_threshold = 1e9;
-  StreamAggregator stream(options);
-  ASSERT_TRUE(stream.Ingest(AddClusteringEvent{{0, 0, 1, 1}, 1.0}).ok());
-  Result<StreamFlushReport> first = stream.Flush();
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(first->rebuilt);  // the initial build always rebuilds
-  // Two new objects arrive as singletons; the online merge must fold
-  // them into the clusters the unanimous evidence demands.
-  ASSERT_TRUE(stream.Ingest(AddObjectEvent{{0}}).ok());
-  ASSERT_TRUE(stream.Ingest(AddObjectEvent{{1}}).ok());
-  ASSERT_TRUE(stream.Ingest(AddClusteringEvent{{0, 0, 1, 1, 0, 1}, 1.0}).ok());
-  Result<StreamFlushReport> second = stream.Flush();
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->repaired);
-  EXPECT_FALSE(second->rebuilt);
-  EXPECT_EQ(second->cost, 0.0);
-  EXPECT_TRUE(stream.labels().SameCluster(0, 4));
-  EXPECT_TRUE(stream.labels().SameCluster(2, 5));
-  EXPECT_FALSE(stream.labels().SameCluster(0, 2));
-}
-
 TEST(StreamAggregatorTest, IngestValidatesDimensionsAndLabels) {
   StreamAggregator stream{StreamAggregatorOptions{}};
   // The first clustering on an empty stream defines the objects.
@@ -418,12 +396,214 @@ TEST(StreamAggregatorTest, IncrementalFoldMatchesSignatureIndex) {
       ASSERT_TRUE(stream.Ingest(std::move(event)).ok());
       ASSERT_TRUE(stream.Flush().ok());
       if (mirror.num_clusterings() == 0) continue;
-      // After every event, the incremental grouping equals the
+      // After every event, the stream's grouping equals the
       // from-scratch index: count, numbering, reps, multiplicities.
       oracle::ExpectSameFold(stream, SignatureIndex::Build(mirror.Input()));
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// Golden pin for the drift bookkeeping: fixed event logs replayed with a
+// mid-range rebuild threshold, recording for every flush the exact bit
+// patterns of the reported drift, the delta-tracked predicted cost and
+// the exact cost, plus which fix-up ran. The differential oracles only
+// compare drift between two streams running the same code; this table
+// pins the values themselves — and with them every rebuild decision —
+// so a change to how drift is derived cannot move them silently. The
+// logs come from oracle::RandomEventLog under fixed seeds, so the table
+// also pins that generator's draw sequence.
+struct GoldenLog {
+  const char* name;
+  std::uint64_t seed;
+  bool fold;
+  bool weighted;
+  double missing_probability;
+  MissingValuePolicy policy;
+  std::size_t window;
+  std::vector<const char*> flushes;
+};
+
+std::string FlushFingerprint(const StreamFlushReport& report) {
+  char buffer[96];
+  std::snprintf(buffer, sizeof(buffer), "%016llx %016llx %016llx %c%c",
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(report.drift)),
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(report.predicted_cost)),
+                static_cast<unsigned long long>(
+                    std::bit_cast<std::uint64_t>(report.cost)),
+                report.rebuilt ? 'B' : '-', report.repaired ? 'R' : '-');
+  return buffer;
+}
+
+TEST(StreamAggregatorTest, DriftGoldenPinMatchesRecordedBits) {
+  const GoldenLog logs[] = {
+      {"plain_window_churn",
+       5,
+       false,
+       false,
+       0.0,
+       MissingValuePolicy::kRandomCoin,
+       4,
+       {
+           "3fe364d934d9364e 4035fffff4000000 403055554c000000 B-",
+           "3fe341413ed2d2d3 4044000000000000 403e000000000000 B-",
+           "3fcd2d2d2d2d2d2d 4042fffff6000000 404155554d000000 B-",
+           "3f988a515f5f5f5f 4043aaaaa0c00000 4043aaaaa0c00000 -R",
+           "3fb267bd0a0a0a0a 40442aaaa0800000 404355554c000000 -R",
+           "3fb5f5057286bca2 40462aaa9fc00000 4045d55549c00000 -R",
+           "3fc993365853d615 4048c00000000000 4048400000000000 B-",
+           "3fc0bad5c0000000 404e555548800000 4049fffff2800000 B-",
+           "3fd673673a5ca5ca 405095554e200000 404b7fffef400000 B-",
+           "3fe30cd7314b94b9 4053100000000000 404d600000000000 B-",
+           "3fbfad40997d3abc 404e7ffff0400000 404d7fffefc00000 B-",
+           "3fbd5e32f45d1746 4051a00000000000 4051000000000000 -R",
+           "3fd339ad0da8faf1 4053400000000000 4051200000000000 B-",
+       }},
+      {"weighted_missing_ignore",
+       6,
+       false,
+       true,
+       0.25,
+       MissingValuePolicy::kIgnore,
+       0,
+       {
+           "3fed15e62f1c71c7 402a9253c8000000 401dfa5eac000000 B-",
+           "3fa6af06cccccccd 4026723958000000 4025d97d86000000 -R",
+           "3fc7aaafe1c71c72 4024350397000000 402205f327000000 B-",
+           "3fb07f66ec16c16c 4029838e84000000 4029483818000000 -R",
+           "3fbf2d8dec16c16c 40291b0cb6000000 4028a9d95c000000 B-",
+           "3fc93465a9f49f4a 402f7aa2ab000000 402ba1fb27000000 B-",
+           "3fd1a8b9bf8e38e4 40293efbec800000 4024958b45800000 B-",
+           "3fb6d4b5fa4fa4fa 402cca4a7d800000 402b9d9920800000 -R",
+           "3fd0c70cd82d82d8 402ff5beac800000 402e36fd14800000 B-",
+           "3fccbe870c37dac3 4033182fb6800000 40322f454c800000 B-",
+           "3f99039ced61bed6 4032e25722400000 4032521dcd400000 -R",
+           "3fb07dd9d86fb587 4032afca16000000 403256e794000000 -R",
+           "3fbb1b92b83e0f84 4035e9c710000000 4035d68d12000000 -R",
+           "3fd02f5b26f96f97 403be00b8a000000 4039c20b83000000 B-",
+           "3fa82fdeb9ab9aba 403fc15bc7000000 403e62dafc000000 -R",
+           "3fb93efa097e97e9 403de6dc15200000 403dae6b9c200000 -R",
+           "3fbc426e6c30c30c 404072bffc900000 40402fa23f900000 -R",
+           "3fc71d9e8b111111 4043f55840f00000 40436e9fefd00000 B-",
+           "3f9c6645e999999a 4043d58255a00000 404356028da00000 -R",
+           "3facf6a58c444444 4043bd9dbe600000 4043885d41200000 -R",
+       }},
+      {"weighted_missing_coin",
+       7,
+       false,
+       true,
+       0.25,
+       MissingValuePolicy::kRandomCoin,
+       0,
+       {
+           "3fef4dc196db6db7 402a15e2fc000000 401fd43a08000000 B-",
+           "3fe5524797b6db6e 40248f5651000000 40238be1f2000000 B-",
+           "3fc28793f0000000 4025dfec31000000 4024ed05b5000000 B-",
+           "3fa3a4b2adb6db6e 40246801a2000000 40246801a2000000 -R",
+           "3fb87961c0000000 4024b6329b000000 4024a1841d000000 -R",
+           "3fc5b867b1c71c72 402b7eb10f000000 402b7eb10f000000 B-",
+           "3fc1c2795f49f49f 4031e77508000000 40318e905f000000 B-",
+           "3fb071f90b60b60b 4031f17c8d000000 4031b537a3000000 -R",
+           "3fd4f8e1b86fb587 4035c669cf800000 40357accaf800000 B-",
+           "3fcf1a87e4ec4ec5 403ecfac62000000 403e238e91000000 B-",
+           "3fc75d8d20d20d21 403f4555f7000000 403f2707c1000000 B-",
+           "3fbc50f524d9364e 403a25bbda800000 403a1d6ff8800000 -R",
+       }},
+      {"folded_churn",
+       8,
+       true,
+       false,
+       0.0,
+       MissingValuePolicy::kRandomCoin,
+       4,
+       {
+           "3ff5a12f69555555 4028000000000000 4024000000000000 B-",
+           "3fecfa4fb4fa4fa5 4030c00000000000 402b800000000000 B-",
+           "3fb38e38e38e38e4 4025000000000000 4025000000000000 -R",
+           "3fbc71c71c71c71c 402c800000000000 4029800000000000 -R",
+           "3fd253c8294f2095 4031800000000000 402e000000000000 B-",
+           "3fe1fa6a2094f209 4033800000000000 4029000000000000 B-",
+           "3f9b26c9b26c9b27 4031400000000000 402c800000000000 -R",
+           "3fdf6b0e0745d174 4035800000000000 4032000000000000 B-",
+           "3fd0480485a05a06 403b400000000000 4038400000000000 B-",
+           "3fc0270268d68d69 403daaaa9a000000 403baaaaa0000000 B-",
+           "3fbda9da97297297 4040c00000000000 4040000000000000 -R",
+           "3ff0daa1c7f29d48 404c800000000000 4045400000000000 B-",
+       }},
+  };
+  for (const GoldenLog& log : logs) {
+    SCOPED_TRACE(log.name);
+    Rng rng(log.seed);
+    oracle::EventLogShape shape;
+    shape.initial_objects = 8;
+    shape.initial_clusterings = 3;
+    shape.events = 40;
+    shape.max_labels = 3;
+    shape.weighted = log.weighted;
+    shape.missing_probability = log.missing_probability;
+    shape.duplicate_object_probability = log.fold ? 0.5 : 0.0;
+    shape.remove_clustering_probability = 0.2;
+    shape.remove_object_probability = 0.15;
+    shape.window = log.window;
+    const std::vector<StreamRecord> records =
+        oracle::RandomEventLog(shape, &rng);
+    StreamAggregatorOptions options;
+    options.fold = log.fold;
+    options.missing.policy = log.policy;
+    options.num_threads = 1;
+    options.window = log.window;
+    options.rebuild_threshold = 0.12;
+    options.rebuild.algorithm = AggregationAlgorithm::kAgglomerative;
+    options.rebuild.refine_with_local_search = true;
+    StreamAggregator stream(options);
+    Result<StreamReplayResult> replay = ReplayEventLog(stream, records);
+    ASSERT_TRUE(replay.ok()) << replay.status().message();
+    std::vector<std::string> actual;
+    std::string listing;
+    for (const StreamFlushReport& report : replay->reports) {
+      actual.push_back(FlushFingerprint(report));
+      listing += "\n  \"" + actual.back() + "\",";
+    }
+    const std::vector<std::string> expected(log.flushes.begin(),
+                                            log.flushes.end());
+    EXPECT_EQ(actual, expected) << "recorded flushes:" << listing;
+  }
+}
+
+// The drift sweep fills rows on worker threads once n^2 m is large
+// enough; charging stays serial, so every flush must report the same
+// bits whatever the thread count. n = 720 with a window of 8 crosses the
+// parallel threshold, which also puts the workers under TSan.
+TEST(StreamAggregatorTest, DriftSweepIsThreadCountIndependent) {
+  Rng rng(29);
+  oracle::EventLogShape shape;
+  shape.initial_objects = 720;
+  shape.initial_clusterings = 8;
+  shape.events = 8;
+  shape.remove_object_probability = 0.2;
+  shape.window = 8;
+  const std::vector<StreamRecord> records =
+      oracle::RandomEventLog(shape, &rng);
+  std::vector<std::string> fingerprints[2];
+  std::vector<Clustering::Label> labels[2];
+  const std::size_t thread_counts[2] = {1, 4};
+  for (int t = 0; t < 2; ++t) {
+    StreamAggregatorOptions options;
+    options.num_threads = thread_counts[t];
+    options.window = shape.window;
+    options.rebuild_threshold = 1e9;
+    StreamAggregator stream(options);
+    Result<StreamReplayResult> replay = ReplayEventLog(stream, records);
+    ASSERT_TRUE(replay.ok()) << replay.status().message();
+    for (const StreamFlushReport& report : replay->reports) {
+      fingerprints[t].push_back(FlushFingerprint(report));
+    }
+    labels[t] = stream.labels().labels();
+  }
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
+  EXPECT_EQ(labels[0], labels[1]);
 }
 
 TEST(StreamAggregatorTest, ReplayFlushesAtMarkersAndEnd) {

@@ -200,8 +200,8 @@ std::optional<AggregationAlgorithm> ParseAlgorithm(const std::string& name) {
 
 /// `aggregate --stream <eventlog>`: replay a recorded event log through
 /// the incremental StreamAggregator instead of one batch Aggregate. Each
-/// `flush` directive in the log closes a batch: pending deltas apply to
-/// the maintained X counters, then the solution is repaired in place
+/// `flush` directive in the log closes a batch: pending events apply to
+/// the stream's label columns, then the solution is repaired in place
 /// (warm LOCALSEARCH) or rebuilt from scratch when accumulated drift
 /// exceeds --rebuild-threshold. --deadline-ms bounds each batch, not the
 /// whole replay. Per-batch progress goes to stderr; the final labels go
@@ -287,15 +287,6 @@ int CmdStream(const Args& args) {
           "--window expects a positive clustering count"));
     }
     options.window = static_cast<std::size_t>(window);
-  }
-  if (args.Has("repair")) {
-    const std::string repair = args.Get("repair");
-    if (repair == "online") {
-      options.repair_policy = StreamRepairPolicy::kOnline;
-    } else if (repair != "warm") {
-      return Fail(Status::InvalidArgument(
-          "--repair expects 'warm' or 'online', got '" + repair + "'"));
-    }
   }
 
   long long deadline_ms = 0;
@@ -955,7 +946,7 @@ int CmdHelp() {
       "      a table or JSON; --fake-clock substitutes a deterministic\n"
       "      clock so --stats=json output is byte-stable.\n"
       "  aggregate --stream FILE [--rebuild-threshold X] [--fold]\n"
-      "            [--window N] [--repair warm|online]\n"
+      "            [--window N]\n"
       "            [--algorithm ...] [--missing coin|ignore] [--coin-p P]\n"
       "            [--shards auto|off|N] [--max-cluster-size N]\n"
       "            [--threads N] [--deadline-ms N] [--out FILE]\n"
@@ -966,11 +957,10 @@ int CmdHelp() {
       "      [weight=W] L1..Ln', 'object L1..Lm', 'remove_clustering ID',\n"
       "      'remove_object ID', 'flush', '#' comments, '?' = missing;\n"
       "      see docs/streaming.md) through the incremental\n"
-      "      StreamAggregator. Each 'flush' closes a batch: deltas apply\n"
-      "      to the maintained X counters, then the solution is repaired\n"
-      "      in place (--repair warm, the default, re-runs LOCALSEARCH\n"
-      "      from the previous labels; --repair online runs the\n"
-      "      agglomerative merge repair) or fully rebuilt with\n"
+      "      StreamAggregator. Each 'flush' closes a batch: events apply\n"
+      "      to the stream's label columns, then the solution is\n"
+      "      repaired in place (LOCALSEARCH from the previous labels)\n"
+      "      or fully rebuilt with\n"
       "      --algorithm when accumulated drift exceeds\n"
       "      --rebuild-threshold (default 0.25). Clusterings and objects\n"
       "      get stable 0-based ids in arrival order (never reused);\n"

@@ -51,7 +51,7 @@ int main() {
   {
     const ClusteringSet input = RandomInput(400, 8, 6, 11, 0.25);
     const CorrelationInstance instance =
-        CorrelationInstance::FromClusterings(input);
+        CorrelationInstance::Build(input).value();
     TablePrinter table({"alpha", "clusters", "cost d(C)",
                         "cost / lower bound"});
     const double lb = instance.LowerBound();
@@ -82,7 +82,7 @@ int main() {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       const ClusteringSet input = RandomInput(300, 6, 5, seed, 0.3);
       const CorrelationInstance instance =
-          CorrelationInstance::FromClusterings(input);
+          CorrelationInstance::Build(input).value();
       BallsOptions sorted;
       sorted.alpha = 0.4;
       sorted.sort_by_incident_weight = true;
@@ -113,7 +113,7 @@ int main() {
   {
     const ClusteringSet input = RandomInput(350, 7, 5, 23, 0.3);
     const CorrelationInstance instance =
-        CorrelationInstance::FromClusterings(input);
+        CorrelationInstance::Build(input).value();
     TablePrinter table({"start", "cost before", "cost after", "k after",
                         "time(s)"});
     // Stand-alone starts.
@@ -197,7 +197,7 @@ int main() {
     for (int t = 0; t < trials; ++t) {
       const ClusteringSet input = RandomInput(10, 5, 3, 100 + t, 0.35);
       const CorrelationInstance instance =
-          CorrelationInstance::FromClusterings(input);
+          CorrelationInstance::Build(input).value();
       Result<Clustering> opt = ExactClusterer().Run(instance);
       CLUSTAGG_CHECK_OK(opt.status());
       const double opt_cost = *instance.Cost(*opt);
@@ -242,7 +242,7 @@ int main() {
     for (uint64_t seed = 1; seed <= 5; ++seed) {
       const ClusteringSet input = RandomInput(300, 6, 5, 100 + seed, 0.3);
       const CorrelationInstance instance =
-          CorrelationInstance::FromClusterings(input);
+          CorrelationInstance::Build(input).value();
       BallsOptions balls_options;
       balls_options.alpha = 0.4;
       Result<Clustering> balls =

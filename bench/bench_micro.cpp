@@ -71,7 +71,7 @@ void BM_BuildInstance(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const ClusteringSet input = PlantedInput(n, 8, 5, 0.2, 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CorrelationInstance::FromClusterings(input));
+    benchmark::DoNotOptimize(CorrelationInstance::Build(input).value());
   }
 }
 BENCHMARK(BM_BuildInstance)->Range(64, 1024);
@@ -173,7 +173,7 @@ void RunAlgorithm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const ClusteringSet input = PlantedInput(n, 6, 5, 0.2, 3);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   const ClustererT clusterer;
   for (auto _ : state) {
     Result<Clustering> c = clusterer.Run(instance);

@@ -12,6 +12,13 @@
 #   ci/sanitize.sh durability                           # crash safety
 #   ci/sanitize.sh native                               # packed kernel
 #   ci/sanitize.sh local                                # membership oracle
+#   ci/sanitize.sh smoke                                # CLI end to end
+#
+# The smoke leg drives the shipped `clustagg` binary through every CLI
+# smoke script. The CLI is the only code that parses raw argv, so its
+# flag table and strict number parsers run here on malformed input
+# (unknown flags, missing values, trailing garbage) under both
+# sanitizers.
 #
 # `native` is a special leg, not a label regex: it builds once with
 # CLUSTAGG_NATIVE=ON (compiling the AVX2 packed-label kernel) under

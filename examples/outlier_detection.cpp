@@ -66,7 +66,7 @@ int main() {
   // objects the consensus is least sure about should be noise points.
   {
     const CorrelationInstance instance =
-        CorrelationInstance::FromClusterings(*set);
+        CorrelationInstance::Build(*set).value();
     Result<std::vector<std::size_t>> ambiguous =
         MostAmbiguousObjects(instance, aggregated->clustering, 20);
     CLUSTAGG_CHECK_OK(ambiguous.status());

@@ -26,7 +26,7 @@ int main() {
   // clusterings separating u and v (solid = 1/3, dashed = 2/3,
   // dotted = 1).
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(*input);
+      CorrelationInstance::Build(*input).value();
   std::printf("Correlation instance (Figure 2), X_uv as thirds:\n    ");
   for (int v = 1; v <= 6; ++v) std::printf("  v%d", v);
   std::printf("\n");

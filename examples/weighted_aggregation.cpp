@@ -81,7 +81,7 @@ int main() {
       ClusteringSet::Create(inputs, weights);
   CLUSTAGG_CHECK_OK(weighted_set.status());
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(*weighted_set);
+      CorrelationInstance::Build(*weighted_set).value();
   Result<std::vector<double>> margins =
       AssignmentMargins(instance, weighted.clustering);
   CLUSTAGG_CHECK_OK(margins.status());

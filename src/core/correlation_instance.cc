@@ -74,21 +74,6 @@ CorrelationInstance CorrelationInstance::FromSource(
                              std::move(multiplicities));
 }
 
-CorrelationInstance CorrelationInstance::FromClusterings(
-    const ClusteringSet& input, const MissingValueOptions& missing) {
-  Result<CorrelationInstance> instance = Build(input, missing);
-  CLUSTAGG_CHECK_OK(instance.status());
-  return std::move(instance).value();
-}
-
-CorrelationInstance CorrelationInstance::FromClusteringsSubset(
-    const ClusteringSet& input, const std::vector<std::size_t>& subset,
-    const MissingValueOptions& missing) {
-  Result<CorrelationInstance> instance = BuildSubset(input, subset, missing);
-  CLUSTAGG_CHECK_OK(instance.status());
-  return std::move(instance).value();
-}
-
 Result<double> CorrelationInstance::Cost(const Clustering& candidate,
                                          const RunContext& run) const {
   const std::size_t n = size();

@@ -69,15 +69,6 @@ class CorrelationInstance {
       std::shared_ptr<const DistanceSource> source,
       std::size_t num_threads = 0, std::vector<double> multiplicities = {});
 
-  /// Legacy dense builders, kept for callers predating the pluggable
-  /// backends. CHECK-fail if the dense matrix cannot be allocated; prefer
-  /// Build for sizes that come from data.
-  static CorrelationInstance FromClusterings(
-      const ClusteringSet& input, const MissingValueOptions& missing = {});
-  static CorrelationInstance FromClusteringsSubset(
-      const ClusteringSet& input, const std::vector<std::size_t>& subset,
-      const MissingValueOptions& missing = {});
-
   std::size_t size() const { return source_ ? source_->size() : 0; }
 
   /// X_uv (0 when u == v). Inlined O(1) matrix read under the dense

@@ -4,6 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "core/instrumentation.h"
+
 namespace clustagg {
 
 namespace {
@@ -49,10 +51,8 @@ Status JournalWriter::Append(const StreamRecord& record) {
   if (Status s = file_->Append(frame); !s.ok()) return s;
   ++records_;
   ++unsynced_;
-  if (telemetry_ != nullptr) {
-    telemetry_->counter("durability.journal_appends")->Add();
-    telemetry_->counter("durability.journal_bytes")->Add(frame.size());
-  }
+  TelemetryCount(telemetry_, "durability.journal_appends");
+  TelemetryCount(telemetry_, "durability.journal_bytes", frame.size());
   if (options_.fsync_every != 0 && unsynced_ >= options_.fsync_every) {
     return Sync();
   }
@@ -62,9 +62,7 @@ Status JournalWriter::Append(const StreamRecord& record) {
 Status JournalWriter::Sync() {
   if (Status s = file_->Sync(); !s.ok()) return s;
   unsynced_ = 0;
-  if (telemetry_ != nullptr) {
-    telemetry_->counter("durability.journal_syncs")->Add();
-  }
+  TelemetryCount(telemetry_, "durability.journal_syncs");
   return Status::OK();
 }
 

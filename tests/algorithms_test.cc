@@ -48,7 +48,7 @@ const Clustering kFigure1Optimum({0, 1, 0, 1, 2, 2});
 
 TEST(ExactTest, SolvesFigure1) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   Result<Clustering> c = ExactClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(kFigure1Optimum));
@@ -57,7 +57,7 @@ TEST(ExactTest, SolvesFigure1) {
 
 TEST(ExactTest, RefusesLargeInstances) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(20, 3, 3, 1));
+      CorrelationInstance::Build(RandomInput(20, 3, 3, 1)).value();
   Result<Clustering> c = ExactClusterer().Run(instance);
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
@@ -76,7 +76,7 @@ TEST(ExactTest, MatchesFullEnumerationCost) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     const std::size_t n = 7;
     const CorrelationInstance instance =
-        CorrelationInstance::FromClusterings(RandomInput(n, 4, 3, seed));
+        CorrelationInstance::Build(RandomInput(n, 4, 3, seed)).value();
     Result<Clustering> solved = ExactClusterer().Run(instance);
     ASSERT_TRUE(solved.ok());
     const double solved_cost = *instance.Cost(*solved);
@@ -111,7 +111,7 @@ TEST(ExactTest, MatchesFullEnumerationCost) {
 
 TEST(BallsTest, PracticalAlphaSolvesFigure1) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   BallsOptions options;
   options.alpha = 0.4;
   Result<Clustering> c = BallsClusterer(options).Run(instance);
@@ -121,7 +121,7 @@ TEST(BallsTest, PracticalAlphaSolvesFigure1) {
 
 TEST(BallsTest, AlphaValidation) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   BallsOptions options;
   options.alpha = 0.75;
   EXPECT_FALSE(BallsClusterer(options).Run(instance).ok());
@@ -132,7 +132,7 @@ TEST(BallsTest, AlphaValidation) {
 TEST(BallsTest, AlphaZeroSeparatesEverythingNoisy) {
   // With alpha = 0, a ball only forms when all members are at distance 0.
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(10, 5, 3, 3));
+      CorrelationInstance::Build(RandomInput(10, 5, 3, 3)).value();
   BallsOptions options;
   options.alpha = 0.0;
   Result<Clustering> c = BallsClusterer(options).Run(instance);
@@ -146,7 +146,7 @@ TEST(BallsTest, UnanimousInputsRecovered) {
   const Clustering truth({0, 0, 0, 1, 1, 2, 2, 2});
   const ClusteringSet input = *ClusteringSet::Create({truth, truth, truth});
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> c = BallsClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(truth));
@@ -163,7 +163,7 @@ TEST(BallsTest, EmptyInstance) {
 
 TEST(AgglomerativeTest, SolvesFigure1) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   Result<Clustering> c = AgglomerativeClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(kFigure1Optimum));
@@ -173,7 +173,7 @@ TEST(AgglomerativeTest, UnanimousInputsRecovered) {
   const Clustering truth({0, 1, 1, 0, 2, 2, 2});
   const ClusteringSet input = *ClusteringSet::Create({truth, truth});
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> c = AgglomerativeClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(truth));
@@ -183,7 +183,7 @@ TEST(AgglomerativeTest, OutputClustersHaveAverageDistanceBelowHalf) {
   // The paper's key property: within each output cluster, the average
   // pairwise distance is at most 1/2.
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(20, 5, 3, 7));
+      CorrelationInstance::Build(RandomInput(20, 5, 3, 7)).value();
   Result<Clustering> c = AgglomerativeClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   for (const auto& members : c->Clusters()) {
@@ -202,7 +202,7 @@ TEST(AgglomerativeTest, OutputClustersHaveAverageDistanceBelowHalf) {
 
 TEST(AgglomerativeTest, TargetClustersOverridesThreshold) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(12, 4, 3, 9));
+      CorrelationInstance::Build(RandomInput(12, 4, 3, 9)).value();
   AgglomerativeOptions options;
   options.target_clusters = 4;
   Result<Clustering> c = AgglomerativeClusterer(options).Run(instance);
@@ -214,7 +214,7 @@ TEST(AgglomerativeTest, TargetClustersOverridesThreshold) {
 
 TEST(FurthestTest, SolvesFigure1) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   Result<Clustering> c = FurthestClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(kFigure1Optimum));
@@ -224,7 +224,7 @@ TEST(FurthestTest, UnanimousInputsRecovered) {
   const Clustering truth({0, 0, 1, 1, 1, 2});
   const ClusteringSet input = *ClusteringSet::Create({truth, truth, truth});
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> c = FurthestClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(truth));
@@ -232,7 +232,7 @@ TEST(FurthestTest, UnanimousInputsRecovered) {
 
 TEST(FurthestTest, MaxCentersCapsClusterCount) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(15, 4, 5, 11));
+      CorrelationInstance::Build(RandomInput(15, 4, 5, 11)).value();
   FurthestOptions options;
   options.max_centers = 2;
   Result<Clustering> c = FurthestClusterer(options).Run(instance);
@@ -243,7 +243,7 @@ TEST(FurthestTest, MaxCentersCapsClusterCount) {
 TEST(FurthestTest, SingleObject) {
   const ClusteringSet input = *ClusteringSet::Create({Clustering({0})});
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> c = FurthestClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->size(), 1u);
@@ -254,7 +254,7 @@ TEST(FurthestTest, SingleObject) {
 
 TEST(LocalSearchTest, SolvesFigure1FromSingletons) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   Result<Clustering> c = LocalSearchClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(kFigure1Optimum));
@@ -262,7 +262,7 @@ TEST(LocalSearchTest, SolvesFigure1FromSingletons) {
 
 TEST(LocalSearchTest, AllInitModesReachLocalOptimum) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(14, 5, 3, 13));
+      CorrelationInstance::Build(RandomInput(14, 5, 3, 13)).value();
   for (LocalSearchOptions::Init init :
        {LocalSearchOptions::Init::kSingletons,
         LocalSearchOptions::Init::kSingleCluster,
@@ -289,7 +289,7 @@ TEST(LocalSearchTest, AllInitModesReachLocalOptimum) {
 TEST(LocalSearchTest, RunFromNeverWorsens) {
   Rng rng(17);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(18, 4, 4, 17));
+      CorrelationInstance::Build(RandomInput(18, 4, 4, 17)).value();
   const LocalSearchClusterer refiner;
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Clustering::Label> labels(18);
@@ -306,7 +306,7 @@ TEST(LocalSearchTest, RunFromNeverWorsens) {
 
 TEST(LocalSearchTest, RunFromValidatesInput) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   const LocalSearchClusterer refiner;
   EXPECT_FALSE(refiner.RunFrom(instance, Clustering({0, 1})).ok());
   EXPECT_FALSE(
@@ -318,7 +318,7 @@ TEST(LocalSearchTest, RunFromValidatesInput) {
 
 TEST(LocalSearchTest, ShuffledOrderStillReachesLocalOptimum) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(12, 5, 3, 19));
+      CorrelationInstance::Build(RandomInput(12, 5, 3, 19)).value();
   LocalSearchOptions options;
   options.shuffle_order = true;
   options.seed = 5;
@@ -355,7 +355,7 @@ TEST(BestClusteringTest, WithinTwiceOptimal) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const ClusteringSet input = RandomInput(9, 4, 3, seed * 31);
     const CorrelationInstance instance =
-        CorrelationInstance::FromClusterings(input);
+        CorrelationInstance::Build(input).value();
     Result<Clustering> opt = ExactClusterer().Run(instance);
     ASSERT_TRUE(opt.ok());
     const double opt_d = *input.TotalDisagreements(*opt);
@@ -376,7 +376,7 @@ TEST_P(ApproximationRatioTest, AllAlgorithmsWithinProvenFactors) {
   const std::size_t n = 10;
   const ClusteringSet input = RandomInput(n, 5, 3, seed * 101 + 7);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> opt = ExactClusterer().Run(instance);
   ASSERT_TRUE(opt.ok());
   const double opt_cost = *instance.Cost(*opt);
@@ -413,7 +413,7 @@ TEST_P(ApproximationRatioTest, BallsTwoApproxForThreeClusterings) {
   const uint64_t seed = GetParam();
   const ClusteringSet input = RandomInput(9, 3, 3, seed * 997 + 13);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> opt = ExactClusterer().Run(instance);
   ASSERT_TRUE(opt.ok());
   const double opt_cost = *instance.Cost(*opt);

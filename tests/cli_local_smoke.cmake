@@ -133,3 +133,18 @@ if(NOT rc EQUAL 2)
   message(FATAL_ERROR "--fold with --backend dense should exit 2, "
                       "got ${rc}")
 endif()
+
+# A boolean selector never takes the next argument: `--all FILES` reads
+# all three label files and stays bit-identical to the global run.
+execute_process(COMMAND ${CLI} query --local --seed 7 --all ${FILES}
+                --out ${WORK}/local_first.labels
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT err MATCHES "over 3 clusterings")
+  message(FATAL_ERROR "--all before the label files should read all "
+                      "three, got ${rc}: ${err}")
+endif()
+file(READ ${WORK}/local_first.labels local_first)
+if(NOT global_labels STREQUAL local_first)
+  message(FATAL_ERROR "--all FILES must match the global pivot run: "
+                      "'${global_labels}' vs '${local_first}'")
+endif()

@@ -1,5 +1,38 @@
 # End-to-end CLI smoke test: generate a dataset, aggregate it from CSV,
 # evaluate the result file, and check every step's exit code.
+
+# `cli_help` runs only this block (-DHELP=ON): `help` must succeed and,
+# printed from the flag table, list every parsed flag in each mode that
+# accepts it.
+if(HELP)
+  execute_process(COMMAND ${CLI} help RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "help failed: ${rc}")
+  endif()
+  foreach(flag "--delimiter C" "--no-header")
+    string(FIND "${out}" "\n  ${flag}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "help should list ${flag}, got: ${out}")
+    endif()
+  endforeach()
+  # The stream section runs from its usage line to the query section's.
+  string(FIND "${out}" "\naggregate (--stream" begin)
+  string(FIND "${out}" "\nquery --local" end)
+  if(begin EQUAL -1 OR end LESS begin)
+    message(FATAL_ERROR "help should have a stream section, got: ${out}")
+  endif()
+  math(EXPR length "${end} - ${begin}")
+  string(SUBSTRING "${out}" ${begin} ${length} stream_help)
+  foreach(flag "--refine" "--alpha X")
+    string(FIND "${stream_help}" "\n  ${flag}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "the stream section of help should list ${flag}, "
+                          "got: ${stream_help}")
+    endif()
+  endforeach()
+  return()
+endif()
+
 file(MAKE_DIRECTORY ${WORK})
 execute_process(COMMAND ${CLI} gen votes --seed 7 --out ${WORK}/votes.csv
                 RESULT_VARIABLE rc)
@@ -108,3 +141,72 @@ execute_process(COMMAND ${CLI} aggregate --csv ${WORK}/votes.csv
 if(rc EQUAL 0)
   message(FATAL_ERROR "--stats=bogus should be rejected")
 endif()
+
+# Flag-table regressions. A boolean flag never takes the next argument
+# as its value: `--fold c1 c2 c3` aggregates all three label files, the
+# same as `c1 c2 c3 --fold`, and `--report c1 ...` reads c1 too.
+file(WRITE ${WORK}/c1.labels "0 0 1 1 2 2 0 0 1 1 2 2\n")
+file(WRITE ${WORK}/c2.labels "0 0 1 1 1 2 0 0 1 1 1 2\n")
+file(WRITE ${WORK}/c3.labels "0 0 0 1 2 2 0 0 0 1 2 2\n")
+set(FILES ${WORK}/c1.labels ${WORK}/c2.labels ${WORK}/c3.labels)
+execute_process(COMMAND ${CLI} aggregate ${FILES} --fold
+                RESULT_VARIABLE rc OUTPUT_VARIABLE fold_last ERROR_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "aggregate FILES --fold failed: ${rc}")
+endif()
+execute_process(COMMAND ${CLI} aggregate --fold ${FILES}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE fold_first ERROR_QUIET)
+if(NOT rc EQUAL 0 OR NOT fold_first STREQUAL fold_last)
+  message(FATAL_ERROR "--fold before the label files should aggregate "
+                      "all of them: '${fold_first}' vs '${fold_last}'")
+endif()
+execute_process(COMMAND ${CLI} aggregate --report ${FILES}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT err MATCHES "aggregated 3 clusterings")
+  message(FATAL_ERROR "--report should not swallow a label file, got "
+                      "${rc}: ${err}")
+endif()
+
+# Unknown flags and malformed values are InvalidArgument (exit 2), never
+# silently ignored or read as 0.
+foreach(bad "--algoritm;pivot" "--threads;abc" "--threads;-3"
+            "--alpha;xyz")
+  execute_process(COMMAND ${CLI} aggregate --csv ${WORK}/votes.csv
+                  --class-column class ${bad}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "aggregate ${bad} should exit 2, got ${rc}")
+  endif()
+endforeach()
+execute_process(COMMAND ${CLI} gen votes --rows zz --out ${WORK}/zz.csv
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "gen --rows zz should exit 2, got ${rc}")
+endif()
+# --delimiter is exactly one character. The 'a'-separated file parses
+# under the first character of 'ab', so only the flag check rejects it.
+file(WRITE ${WORK}/a_sep.csv "xay\n1a2\n3a4\n")
+foreach(bad "${WORK}/votes.csv;--delimiter=" "${WORK}/a_sep.csv;--delimiter;ab")
+  execute_process(COMMAND ${CLI} aggregate --csv ${bad}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "aggregate --csv ${bad} should exit 2, got ${rc}")
+  endif()
+endforeach()
+
+# --algorithm picks its clusterer by the name's position in the flag
+# table's choice list, which follows AggregationAlgorithm: every name
+# must reach the clusterer it names.
+foreach(pair "best;BESTCLUSTERING" "balls;BALLS"
+             "agglomerative;AGGLOMERATIVE" "furthest;FURTHEST"
+             "localsearch;LOCALSEARCH" "pivot;CC-PIVOT"
+             "annealing;ANNEALING" "majority;MAJORITY" "exact;EXACT")
+  list(GET pair 0 name)
+  list(GET pair 1 shown)
+  execute_process(COMMAND ${CLI} aggregate --algorithm ${name} ${FILES}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT err MATCHES "objects with ${shown}:")
+    message(FATAL_ERROR "--algorithm ${name} should run ${shown}, got "
+                        "${rc}: ${err}")
+  endif()
+endforeach()

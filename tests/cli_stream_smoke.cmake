@@ -108,3 +108,16 @@ execute_process(COMMAND ${CLI} aggregate --stream ${WORK}/batch.events
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "--rebuild-threshold -0.5 should exit 2, got ${rc}")
 endif()
+
+# A flag or argument stream mode does not use is an error, not silently
+# ignored: batch-only input and seeding flags, a bad --missing policy,
+# and positional label files all exit 2.
+foreach(bad "--missing;bogus" "--seed;3" "--sample;5"
+            "--csv;${WORK}/x.csv" "${WORK}/c1.labels")
+  execute_process(COMMAND ${CLI} aggregate --stream ${WORK}/batch.events
+                  ${bad}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "stream with ${bad} should exit 2, got ${rc}")
+  endif()
+endforeach()

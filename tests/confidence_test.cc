@@ -13,8 +13,8 @@ namespace clustagg {
 namespace {
 
 CorrelationInstance InstanceFrom(std::vector<Clustering> clusterings) {
-  return CorrelationInstance::FromClusterings(
-      *ClusteringSet::Create(std::move(clusterings)));
+  return CorrelationInstance::Build(
+      *ClusteringSet::Create(std::move(clusterings))).value();
 }
 
 // ----------------------------------------------------------- MoveState

@@ -49,7 +49,7 @@ TEST(CorrelationInstanceTest, FromDistancesValidatesRange) {
 TEST(CorrelationInstanceTest, FromClusteringsMatchesPairwise) {
   const ClusteringSet input = Figure1Input();
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   ASSERT_EQ(instance.size(), 6u);
   for (std::size_t u = 0; u < 6; ++u) {
     for (std::size_t v = 0; v < 6; ++v) {
@@ -61,7 +61,7 @@ TEST(CorrelationInstanceTest, FromClusteringsMatchesPairwise) {
 
 TEST(CorrelationInstanceTest, CostOfFigure1Optimum) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   // d(C) = D(C) / m = 5 / 3.
   EXPECT_NEAR(*instance.Cost(Clustering({0, 1, 0, 1, 2, 2})), 5.0 / 3.0,
               1e-6);
@@ -69,7 +69,7 @@ TEST(CorrelationInstanceTest, CostOfFigure1Optimum) {
 
 TEST(CorrelationInstanceTest, CostValidatesCandidate) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   EXPECT_FALSE(instance.Cost(Clustering({0, 1})).ok());
   EXPECT_FALSE(
       instance.Cost(Clustering({0, 1, 0, 1, 2, Clustering::kMissing})).ok());
@@ -85,7 +85,7 @@ TEST_P(CostIdentityTest, CorrelationCostTimesMEqualsTotalDisagreements) {
   const std::size_t m = 5;
   const ClusteringSet input = RandomInput(n, m, 3, GetParam());
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Clustering::Label> labels(n);
     for (std::size_t v = 0; v < n; ++v) {
@@ -113,7 +113,7 @@ TEST_P(TriangleInequalityTest, HoldsForBuiltInstances) {
   MissingValueOptions missing;
   missing.policy = MissingValuePolicy::kRandomCoin;
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input, missing);
+      CorrelationInstance::Build(input, missing).value();
   EXPECT_TRUE(instance.SatisfiesTriangleInequality(1e-5))
       << "seed=" << seed << " missing=" << missing_rate;
 }
@@ -146,7 +146,7 @@ TEST(CorrelationInstanceTest, LowerBoundIsMinPerPair) {
 
 TEST(CorrelationInstanceTest, LowerBoundBelowEveryCandidateCost) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(RandomInput(10, 4, 3, 77));
+      CorrelationInstance::Build(RandomInput(10, 4, 3, 77)).value();
   Rng rng(5);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<Clustering::Label> labels(10);
@@ -161,7 +161,7 @@ TEST(CorrelationInstanceTest, LowerBoundBelowEveryCandidateCost) {
 TEST(LowerBoundTest, MatchesInstanceLowerBoundTimesM) {
   const ClusteringSet input = RandomInput(12, 5, 3, 99);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   EXPECT_NEAR(DisagreementLowerBound(input), 5.0 * instance.LowerBound(),
               1e-3);
 }
@@ -176,7 +176,7 @@ TEST(CorrelationInstanceTest, SubsetInstanceMatchesRestriction) {
   const ClusteringSet input = RandomInput(20, 4, 3, 123);
   const std::vector<std::size_t> subset = {1, 4, 7, 13, 19};
   const CorrelationInstance sub =
-      CorrelationInstance::FromClusteringsSubset(input, subset);
+      CorrelationInstance::BuildSubset(input, subset).value();
   ASSERT_EQ(sub.size(), subset.size());
   for (std::size_t i = 0; i < subset.size(); ++i) {
     for (std::size_t j = 0; j < subset.size(); ++j) {

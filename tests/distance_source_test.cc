@@ -392,7 +392,7 @@ TEST(DistanceSourceTest, ThreadCountDoesNotChangeAlgorithmOutput) {
 TEST(DistanceSourceTest, LegacyBuildersStillMatchPairwise) {
   const ClusteringSet input = RandomInput(20, 4, 3, 47, 0.2);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   for (std::size_t u = 0; u < 20; ++u) {
     for (std::size_t v = 0; v < 20; ++v) {
       EXPECT_EQ(instance.distance(u, v),

@@ -170,7 +170,7 @@ ClusteringSet Figure1Input() {
 
 TEST(AnnealingTest, SolvesFigure1) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   AnnealingOptions options;
   options.moves_per_temperature = 200;
   Result<Clustering> c = AnnealingClusterer(options).Run(instance);
@@ -180,7 +180,7 @@ TEST(AnnealingTest, SolvesFigure1) {
 
 TEST(AnnealingTest, OptionValidation) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   AnnealingOptions options;
   options.cooling = 1.5;
   EXPECT_FALSE(AnnealingClusterer(options).Run(instance).ok());
@@ -193,7 +193,7 @@ TEST(AnnealingTest, TrivialSizes) {
   EXPECT_EQ(AnnealingClusterer().Run(CorrelationInstance())->size(), 0u);
   const ClusteringSet one = *ClusteringSet::Create({Clustering({0})});
   EXPECT_EQ(AnnealingClusterer()
-                .Run(CorrelationInstance::FromClusterings(one))
+                .Run(CorrelationInstance::Build(one).value())
                 ->size(),
             1u);
 }
@@ -212,7 +212,7 @@ TEST(AnnealingTest, MatchesExactOnSmallInstances) {
     const ClusteringSet input =
         *ClusteringSet::Create(std::move(clusterings));
     const CorrelationInstance instance =
-        CorrelationInstance::FromClusterings(input);
+        CorrelationInstance::Build(input).value();
     Result<Clustering> opt = ExactClusterer().Run(instance);
     ASSERT_TRUE(opt.ok());
     AnnealingOptions options;
@@ -228,7 +228,7 @@ TEST(AnnealingTest, MatchesExactOnSmallInstances) {
 
 TEST(AnnealingTest, DeterministicForFixedSeed) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   AnnealingOptions options;
   options.seed = 42;
   options.moves_per_temperature = 100;

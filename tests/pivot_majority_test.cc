@@ -43,7 +43,7 @@ const Clustering kFigure1Optimum({0, 1, 0, 1, 2, 2});
 
 TEST(PivotTest, SolvesFigure1) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   Result<Clustering> c = PivotClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(kFigure1Optimum));
@@ -53,7 +53,7 @@ TEST(PivotTest, UnanimousInputsRecovered) {
   const Clustering truth({0, 0, 1, 1, 2, 2, 2});
   const ClusteringSet input = *ClusteringSet::Create({truth, truth});
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> c = PivotClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(truth));
@@ -61,7 +61,7 @@ TEST(PivotTest, UnanimousInputsRecovered) {
 
 TEST(PivotTest, OptionValidation) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   PivotOptions options;
   options.repetitions = 0;
   EXPECT_FALSE(PivotClusterer(options).Run(instance).ok());
@@ -77,8 +77,8 @@ TEST(PivotTest, EmptyInstance) {
 }
 
 TEST(PivotTest, MoreRepetitionsNeverWorse) {
-  const CorrelationInstance instance = CorrelationInstance::FromClusterings(
-      NoisyPlanted(40, 5, 4, 0.3, 17));
+  const CorrelationInstance instance = CorrelationInstance::Build(
+      NoisyPlanted(40, 5, 4, 0.3, 17)).value();
   PivotOptions one;
   one.repetitions = 1;
   one.seed = 9;
@@ -94,8 +94,8 @@ TEST(PivotTest, MoreRepetitionsNeverWorse) {
 }
 
 TEST(PivotTest, DeterministicForFixedSeed) {
-  const CorrelationInstance instance = CorrelationInstance::FromClusterings(
-      NoisyPlanted(30, 4, 3, 0.2, 5));
+  const CorrelationInstance instance = CorrelationInstance::Build(
+      NoisyPlanted(30, 4, 3, 0.2, 5)).value();
   PivotOptions options;
   options.seed = 77;
   Result<Clustering> a = PivotClusterer(options).Run(instance);
@@ -110,7 +110,7 @@ TEST_P(PivotRatioTest, WithinExpectedApproximationOnSmallInstances) {
   const ClusteringSet input =
       NoisyPlanted(10, 5, 3, 0.35, GetParam() * 53 + 1);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> opt = ExactClusterer().Run(instance);
   ASSERT_TRUE(opt.ok());
   const double opt_cost = *instance.Cost(*opt);
@@ -129,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PivotRatioTest, ::testing::Range(1, 11));
 
 TEST(MajorityTest, SolvesFigure1) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   Result<Clustering> c = MajorityClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(kFigure1Optimum));
@@ -137,7 +137,7 @@ TEST(MajorityTest, SolvesFigure1) {
 
 TEST(MajorityTest, OptionValidation) {
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(Figure1Input());
+      CorrelationInstance::Build(Figure1Input()).value();
   MajorityOptions options;
   options.link_threshold = -0.1;
   EXPECT_FALSE(MajorityClusterer(options).Run(instance).ok());
@@ -166,8 +166,8 @@ TEST(MajorityTest, ChainsMergeThroughTransitivity) {
 }
 
 TEST(MajorityTest, ThresholdZeroGivesSingletonsOnNoisyData) {
-  const CorrelationInstance instance = CorrelationInstance::FromClusterings(
-      NoisyPlanted(20, 5, 3, 0.4, 3));
+  const CorrelationInstance instance = CorrelationInstance::Build(
+      NoisyPlanted(20, 5, 3, 0.4, 3)).value();
   MajorityOptions options;
   options.link_threshold = 0.0;
   Result<Clustering> c = MajorityClusterer(options).Run(instance);
@@ -179,7 +179,7 @@ TEST(MajorityTest, UnanimousInputsRecovered) {
   const Clustering truth({0, 1, 1, 2, 2, 2});
   const ClusteringSet input = *ClusteringSet::Create({truth, truth, truth});
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> c = MajorityClusterer().Run(instance);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->SamePartition(truth));

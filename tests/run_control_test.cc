@@ -208,8 +208,8 @@ TEST(RunControlLocalSearchTest, PassesShorterThanABlockStillCharge) {
   // fire. With the tail charged, n = 60 costs exactly 60 per completed
   // pass: the MoveState build charges 60 more, so a budget of 100 must
   // fire at the pass-2 poll instead of silently converging.
-  const CorrelationInstance instance = CorrelationInstance::FromClusterings(
-      RandomInputWithMissing(60, 5, 4, 47));
+  const CorrelationInstance instance = CorrelationInstance::Build(
+      RandomInputWithMissing(60, 5, 4, 47)).value();
   const RunContext run = RunContext::WithIterationBudget(100);
   Result<ClustererRun> result =
       LocalSearchClusterer().RunControlled(instance, run);
@@ -224,8 +224,8 @@ TEST(RunControlExactTest, CancellationYieldsValidPartition) {
   // EXACT polls every 4096 search nodes, so a tiny search may converge
   // before noticing the flag; both outcomes are legitimate, but the
   // partition must be valid either way and the tag truthful.
-  const CorrelationInstance instance = CorrelationInstance::FromClusterings(
-      RandomInputWithMissing(12, 4, 3, 7));
+  const CorrelationInstance instance = CorrelationInstance::Build(
+      RandomInputWithMissing(12, 4, 3, 7)).value();
   RunContext run = RunContext::Cancellable();
   run.RequestCancel();
   Result<ClustererRun> result =
@@ -251,8 +251,8 @@ TEST(RunControlWatchdogTest, WatchdogThreadCancelsALongAnnealingRun) {
   // promptly with a valid partition tagged kCancelled. (If the machine
   // somehow finishes the schedule first the tag is kConverged; the
   // schedule below is far too long for that.)
-  const CorrelationInstance instance = CorrelationInstance::FromClusterings(
-      RandomInputWithMissing(80, 5, 4, 41));
+  const CorrelationInstance instance = CorrelationInstance::Build(
+      RandomInputWithMissing(80, 5, 4, 41)).value();
   AnnealingOptions options;
   options.moves_per_temperature = 200000;
   options.max_levels = 1000000;

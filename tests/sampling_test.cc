@@ -84,7 +84,7 @@ TEST(SamplingTest, SampleCoveringEverythingMatchesDirectRun) {
   Result<Clustering> sampled = SamplingAggregate(input, base, options);
   ASSERT_TRUE(sampled.ok());
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   Result<Clustering> direct = base.Run(instance);
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(sampled->SamePartition(*direct));
@@ -171,7 +171,7 @@ TEST(SamplingTest, FullSampleMatchesDirectRunForEveryBase) {
   const Clustering planted = Planted(n, 3);
   const ClusteringSet input = NoisyCopies(planted, 5, 0.04, 29);
   const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
+      CorrelationInstance::Build(input).value();
   SamplingOptions options;
   options.sample_size = n;
 

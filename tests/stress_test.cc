@@ -110,9 +110,9 @@ TEST_P(StressTest, InputRelabelingDoesNotChangeTheInstance) {
   Result<ClusteringSet> other = ClusteringSet::Create(std::move(renamed));
   ASSERT_TRUE(other.ok());
 
-  const CorrelationInstance a = CorrelationInstance::FromClusterings(input);
+  const CorrelationInstance a = CorrelationInstance::Build(input).value();
   const CorrelationInstance b =
-      CorrelationInstance::FromClusterings(*other);
+      CorrelationInstance::Build(*other).value();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t u = 0; u < a.size(); ++u) {
     for (std::size_t v = u + 1; v < a.size(); ++v) {

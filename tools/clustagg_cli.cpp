@@ -3,13 +3,18 @@
 //
 // Subcommands:
 //   aggregate  aggregate label files (or a categorical CSV) into one
-//              clustering
+//              clustering, or replay a stream event log
 //   query      answer local cluster-membership questions from the
 //              sublinear lazy CC-PIVOT oracle, without aggregating
 //   eval       compare two label files (Rand, adjusted Rand, NMI,
 //              disagreement distance)
 //   gen        write one of the paper's synthetic datasets to disk
-//   help       this text
+//   help       the usage text, printed from the flag table below
+//
+// Every flag is one row of kFlags: its kind decides how its value is
+// parsed and checked, its modes decide which subcommands accept it, and
+// `help` prints the same rows, so a flag cannot be documented without
+// being parsed or parsed without being documented.
 //
 // Examples:
 //   clustagg aggregate --algorithm localsearch c1.labels c2.labels
@@ -21,15 +26,19 @@
 //   clustagg eval truth.labels predicted.labels
 //   clustagg gen votes --seed 7 --out votes.csv
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <memory>
-#include <sstream>
-#include <cstring>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "clustagg/clustagg.h"
@@ -42,53 +51,272 @@ namespace {
 
 using namespace clustagg;
 
-/// Minimal flag parser: --name value (or --name=value) pairs plus
-/// positional arguments.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        std::string name = arg.substr(2);
-        if (const std::size_t eq = name.find('='); eq != std::string::npos) {
-          flags_[name.substr(0, eq)] = name.substr(eq + 1);
-        } else if (i + 1 < argc &&
-                   std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          flags_[name] = argv[++i];
-        } else {
-          flags_[name] = "";  // boolean flag
-        }
-      } else {
-        positional_.push_back(std::move(arg));
+/// The modes a flag can belong to. `aggregate` runs in stream mode when
+/// --stream, --recover or --journal is given and in batch mode
+/// otherwise.
+enum Mode : unsigned {
+  kAggregate = 1,
+  kStream = 2,
+  kQuery = 4,
+  kEval = 8,
+  kGen = 16,
+};
+
+/// How a flag's value is parsed. kBool flags never take a value; kInt
+/// is a non-negative integer and kPositive a positive one (0 would mean
+/// "unset"), kNumber a finite double, kEnum one of the row's choices.
+enum Kind { kBool, kInt, kPositive, kNumber, kString, kEnum };
+
+struct FlagSpec {
+  const char* name;
+  Kind kind;
+  unsigned modes;
+  /// The value's placeholder in `help`; for kEnum the '|'-separated
+  /// choices, listed in the order of the C++ enum they select.
+  const char* value;
+  const char* help;
+  /// When set, a bare --name stands for this value and any other value
+  /// is given only as --name=VALUE (the next argument is never taken).
+  const char* bare = nullptr;
+};
+
+constexpr unsigned kInput = kAggregate | kQuery;
+constexpr unsigned kSolve = kAggregate | kStream;
+constexpr unsigned kRun = kAggregate | kStream | kQuery;
+
+/// The one declaration of every flag the CLI accepts, in `help` order.
+constexpr FlagSpec kFlags[] = {
+    {"csv", kString, kInput, "FILE",
+     "read the attribute clusterings of a categorical CSV"},
+    {"class-column", kString, kInput, "NAME",
+     "CSV class column, left out of the attributes (an index without header)"},
+    {"delimiter", kString, kInput, "C",
+     "CSV field separator, exactly one character (default ',')"},
+    {"no-header", kBool, kInput, "", "the CSV has no header row"},
+    {"weights", kString, kInput, "W1,W2,...", "one weight per label file"},
+    {"stream", kString, kStream, "FILE",
+     "event log to replay (directives in docs/streaming.md)"},
+    {"rebuild-threshold", kNumber, kStream, "X",
+     "drift above which a flush rebuilds instead of repairs (default 0.25)"},
+    {"window", kPositive, kStream, "N",
+     "keep the N newest clusterings; an add past N evicts the oldest"},
+    {"journal", kString, kStream, "PATH",
+     "write every event ahead to this CRC-framed journal"},
+    {"fsync-every", kInt, kStream, "N",
+     "fsync the journal every N records; 0 lets the OS decide (default 1)"},
+    {"snapshot-every", kInt, kStream, "N",
+     "write an atomic snapshot after every N flushes (default 0, never)"},
+    {"snapshot", kString, kStream, "PATH",
+     "snapshot file (default JOURNAL.snap)"},
+    {"recover", kBool, kStream, "",
+     "first restore the stream from --journal and its snapshot"},
+    {"local", kBool, kQuery, "", "required: answer from the local oracle"},
+    {"of", kInt, kQuery, "U",
+     "print U's cluster id (the object id of its pivot) on stdout"},
+    {"pair", kString, kQuery, "U,V", "print 'same' or 'different' on stdout"},
+    {"all", kBool, kQuery, "", "materialize the whole normalized labeling"},
+    {"algorithm", kEnum, kSolve,
+     "best|balls|agglomerative|furthest|localsearch|pivot|annealing|"
+     "majority|exact",
+     "clusterer; a stream's full rebuilds run it (default agglomerative)"},
+    {"alpha", kNumber, kSolve, "X", "BALLS threshold (default 0.4)"},
+    {"refine", kBool, kSolve, "", "finish with a LOCALSEARCH pass"},
+    {"sample", kInt, kAggregate, "N",
+     "SAMPLING: cluster N sampled objects, assign the rest (default 0, off)"},
+    {"seed", kInt, kAggregate | kQuery | kGen, "N",
+     "seed of sampling, pivot, annealing and the generators (default 1)"},
+    {"pivot-repetitions", kPositive, kAggregate, "N",
+     "CC-PIVOT attempts (default 8; query --local simulates 1)"},
+    {"threshold", kNumber, kQuery, "X",
+     "join threshold of the simulated CC-PIVOT (default 0.5)"},
+    {"memo", kInt, kQuery, "N",
+     "memo entries for pivot adjudications; 0 disables, answers unchanged"},
+    {"missing", kEnum, kRun, "coin|ignore",
+     "a missing label splits a pair by coin toss (default) or is skipped"},
+    {"coin-p", kNumber, kRun, "P",
+     "probability the coin puts a pair together (default 0.5)"},
+    {"backend", kEnum, kInput, "dense|lazy",
+     "O(n^2) matrix (aggregate's default) or O(n*m) on demand (query's)"},
+    {"threads", kInt, kSolve, "N",
+     "worker threads (default 0, one per hardware core)"},
+    {"fold", kBool, kRun, "",
+     "solve one weighted object per distinct label tuple; exact"},
+    {"shards", kString, kSolve, "auto|off|N",
+     "solve agreement components in parallel (default off; docs/sharding.md)"},
+    {"max-cluster-size", kPositive, kSolve, "N",
+     "LOCALSEARCH never grows a cluster past N objects"},
+    {"deadline-ms", kPositive, kRun, "N",
+     "budget of the run, of each stream batch or of the query; on expiry "
+     "the best so far is returned, exit 0, 'run outcome = deadline_exceeded'"},
+    {"no-fallbacks", kBool, kAggregate, "",
+     "fail rather than degrade (dense to lazy, EXACT to BALLS+LOCALSEARCH)"},
+    {"report", kBool, kAggregate, "",
+     "print backend, threads, the lower bound on D and cluster sizes"},
+    {"stats", kEnum, kRun, "table|json",
+     "dump run telemetry to stderr (docs/observability.md)", "table"},
+    {"fake-clock", kBool, kRun, "", "deterministic clock: byte-stable --stats"},
+    {"rows", kInt, kGen, "N", "census rows (32561) or gaussian points (500)"},
+    {"clusters", kPositive, kGen, "N", "gaussian components (default 5)"},
+    {"out", kString, kRun | kGen, "FILE",
+     "write the labels here, not to stdout (gen: the CSV, default KIND.csv)"},
+};
+
+const FlagSpec* FindFlag(std::string_view name) {
+  for (const FlagSpec& flag : kFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
+/// Position of `value` among the '|'-separated `choices`.
+std::optional<std::size_t> ChoiceIndex(std::string_view choices,
+                                       std::string_view value) {
+  for (std::size_t index = 0;; ++index) {
+    const std::size_t bar = choices.find('|');
+    if (choices.substr(0, bar) == value) return index;
+    if (bar == std::string_view::npos) return std::nullopt;
+    choices.remove_prefix(bar + 1);
+  }
+}
+
+/// Strictly parses a non-negative integer: anything but digits is
+/// rejected, so a typo cannot silently read as 0.
+Result<std::uint64_t> ParseUnsigned(const std::string& text) {
+  const Status bad = Status::InvalidArgument(
+      "expected a non-negative 64-bit integer, got '" + text + "'");
+  if (text.empty()) return bad;
+  std::uint64_t value = 0;
+  for (char c : text) {
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (c < '0' || c > '9' || value > (UINT64_MAX - digit) / 10) return bad;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+/// Strictly parses a finite number; trailing garbage is rejected.
+Result<double> ParseNumber(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(value)) {
+    return Status::InvalidArgument("expected a number, got '" + text + "'");
+  }
+  return value;
+}
+
+Status CheckValue(const FlagSpec& flag, const std::string& value) {
+  Status status;
+  if (flag.kind == kInt) {
+    status = ParseUnsigned(value).status();
+  } else if (flag.kind == kPositive) {
+    Result<std::uint64_t> count = ParseUnsigned(value);
+    status = count.ok() && *count == 0
+                 ? Status::InvalidArgument("expected a positive integer, "
+                                           "got '" + value + "'")
+                 : count.status();
+  } else if (flag.kind == kNumber) {
+    status = ParseNumber(value).status();
+  } else if (flag.kind == kEnum && !ChoiceIndex(flag.value, value)) {
+    status = Status::InvalidArgument("expected one of " +
+                                     std::string(flag.value) + ", got '" +
+                                     value + "'");
+  }
+  if (status.ok()) return status;
+  return Status::InvalidArgument("--" + std::string(flag.name) + ": " +
+                                 std::string(status.message()));
+}
+
+/// The flags and positional arguments of one invocation. Every value
+/// has been checked against its kFlags row, so the typed getters cannot
+/// fail.
+struct Flags {
+  std::map<std::string, std::string, std::less<>> values;
+  std::vector<std::string> positional;
+
+  bool Has(std::string_view name) const { return values.contains(name); }
+
+  std::string Get(std::string_view name, std::string fallback = "") const {
+    auto it = values.find(name);
+    return it == values.end() ? fallback : it->second;
+  }
+
+  std::uint64_t Int(std::string_view name, std::uint64_t fallback) const {
+    return Has(name) ? ParseUnsigned(Get(name)).value() : fallback;
+  }
+
+  double Number(std::string_view name, double fallback) const {
+    return Has(name) ? ParseNumber(Get(name)).value() : fallback;
+  }
+
+  /// The enum a kEnum flag selects: its choice's position in the row.
+  template <typename E>
+  E Choice(std::string_view name, E fallback) const {
+    if (!Has(name)) return fallback;
+    return static_cast<E>(*ChoiceIndex(FindFlag(name)->value, Get(name)));
+  }
+};
+
+/// Walks argv past the subcommand against kFlags: --name VALUE or
+/// --name=VALUE for valued flags, a bare --name for booleans, anything
+/// not starting with "--" positional. Unknown flags, missing values and
+/// values that do not parse as the flag's kind are InvalidArgument.
+Result<Flags> ParseFlags(int argc, char** argv) {
+  Flags flags;
+  for (int i = 2; i < argc; ++i) {
+    std::string name = argv[i];
+    if (name.rfind("--", 0) != 0) {
+      flags.positional.push_back(std::move(name));
+      continue;
+    }
+    name.erase(0, 2);
+    std::optional<std::string> value;
+    if (const std::size_t eq = name.find('='); eq != std::string::npos) {
+      value = name.substr(eq + 1);
+      name.resize(eq);
+    }
+    const FlagSpec* flag = FindFlag(name);
+    if (flag == nullptr) {
+      return Status::InvalidArgument("unknown flag --" + name +
+                                     " (see 'clustagg help')");
+    }
+    if (flag->kind == kBool && value.has_value()) {
+      return Status::InvalidArgument("--" + name + " takes no value");
+    }
+    if (flag->kind == kBool || flag->bare != nullptr) {
+      if (!value.has_value()) value = flag->bare ? flag->bare : "";
+    } else if (!value.has_value()) {
+      if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--")) {
+        return Status::InvalidArgument("--" + name + " expects a value");
       }
+      value = argv[++i];
+    }
+    if (Status s = CheckValue(*flag, *value); !s.ok()) return s;
+    flags.values[name] = *std::move(value);
+  }
+  return flags;
+}
+
+/// One subcommand mode: its `help` section (the flags come from
+/// kFlags) and the function that runs it.
+struct ModeSpec {
+  Mode mode;
+  const char* name;
+  int (*run)(const Flags& flags);
+  const char* usage;
+  const char* intro;
+};
+
+/// Rejects every flag the active mode does not use.
+Status CheckMode(const Flags& flags, const ModeSpec& mode) {
+  for (const auto& [name, value] : flags.values) {
+    if ((FindFlag(name)->modes & mode.mode) == 0) {
+      return Status::InvalidArgument("--" + name + " does not apply to " +
+                                     mode.name + " (see 'clustagg help')");
     }
   }
-
-  bool Has(const std::string& name) const { return flags_.count(name) > 0; }
-
-  std::string Get(const std::string& name,
-                  const std::string& fallback = "") const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : it->second;
-  }
-
-  double GetDouble(const std::string& name, double fallback) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
-  long long GetInt(const std::string& name, long long fallback) const {
-    auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : std::atoll(it->second.c_str());
-  }
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
- private:
-  std::map<std::string, std::string> flags_;
-  std::vector<std::string> positional_;
-};
+  return Status::OK();
+}
 
 /// All diagnostics go to stderr; stdout carries only results. The exit
 /// code is the status code's mapping (see ExitCodeForStatus): 0 OK,
@@ -118,197 +346,182 @@ extern "C" void HandleShutdownSignal(int sig) { g_shutdown_signal = sig; }
 /// subcommand (aggregate, query) documents it: positional label files,
 /// a categorical CSV with --csv/--class-column, or label files weighted
 /// by --weights.
-Result<ClusteringSet> ReadInputSet(const Args& args) {
-  if (args.Has("csv")) {
+Result<ClusteringSet> ReadInputSet(const Flags& flags) {
+  const std::string delimiter = flags.Get("delimiter", ",");
+  if (delimiter.size() != 1) {
+    return Status::InvalidArgument("--delimiter expects one character, "
+                                   "got '" + delimiter + "'");
+  }
+  if (flags.Has("csv")) {
     CsvOptions csv;
-    csv.class_column = args.Get("class-column");
-    if (args.Has("delimiter")) csv.delimiter = args.Get("delimiter")[0];
-    if (args.Has("no-header")) csv.has_header = false;
-    Result<CsvDataset> dataset = ReadCategoricalCsv(args.Get("csv"), csv);
+    csv.class_column = flags.Get("class-column");
+    csv.delimiter = delimiter[0];
+    if (flags.Has("no-header")) csv.has_header = false;
+    Result<CsvDataset> dataset = ReadCategoricalCsv(flags.Get("csv"), csv);
     if (!dataset.ok()) return dataset.status();
     return AttributeClusterings(dataset->table);
   }
-  if (args.Has("weights")) {
+  if (flags.Has("weights")) {
     // --weights w1,w2,... parallel to the label files.
     std::vector<Clustering> clusterings;
-    for (const std::string& path : args.positional()) {
+    for (const std::string& path : flags.positional) {
       Result<Clustering> c = ReadClusteringFile(path);
       if (!c.ok()) return c.status();
       clusterings.push_back(std::move(*c));
     }
-    Result<std::vector<double>> weights = ParseWeights(args.Get("weights"));
+    Result<std::vector<double>> weights = ParseWeights(flags.Get("weights"));
     if (!weights.ok()) return weights.status();
     return ClusteringSet::Create(std::move(clusterings),
                                  std::move(*weights));
   }
-  return ReadClusteringSet(args.positional());
+  return ReadClusteringSet(flags.positional);
 }
 
-/// Parses the missing-value flags shared by aggregate and query.
-Result<MissingValueOptions> ParseMissingFlags(const Args& args) {
+/// The missing-value flags shared by aggregate, stream and query.
+MissingValueOptions ParseMissingFlags(const Flags& flags) {
   MissingValueOptions missing;
-  const std::string policy = args.Get("missing", "coin");
-  if (policy == "ignore") {
-    missing.policy = MissingValuePolicy::kIgnore;
-  } else if (policy != "coin" && !policy.empty()) {
-    return Status::InvalidArgument("--missing expects 'coin' or 'ignore', "
-                                   "got '" + policy + "'");
-  }
-  missing.coin_together_probability = args.GetDouble("coin-p", 0.5);
+  missing.policy = flags.Choice("missing", MissingValuePolicy::kRandomCoin);
+  missing.coin_together_probability = flags.Number("coin-p", 0.5);
   return missing;
 }
 
-/// Strictly parses a non-negative integer flag value (object ids for
-/// query --of / --pair); anything but digits is rejected so a typo'd id
-/// cannot silently query object 0.
-Result<std::size_t> ParseObjectId(const std::string& text) {
-  if (text.empty()) {
-    return Status::InvalidArgument("expected an object id, got ''");
+/// The AggregatorOptions of both aggregating modes. A flag the active
+/// mode does not accept is absent and leaves its option at the default.
+Result<AggregatorOptions> ParseAggregatorFlags(const Flags& flags) {
+  AggregatorOptions options;
+  options.algorithm =
+      flags.Choice("algorithm", AggregationAlgorithm::kAgglomerative);
+  options.balls.alpha = flags.Number("alpha", 0.4);
+  options.refine_with_local_search = flags.Has("refine");
+  options.sampling_size = flags.Int("sample", 0);
+  // --seed also pins the randomized clusterers, so `aggregate
+  // --algorithm pivot --seed N` and `query --local --seed N` simulate
+  // the same permutation stream (default 1 = the option defaults).
+  options.sampling.seed = flags.Int("seed", 1);
+  options.pivot.seed = options.sampling.seed;
+  options.annealing.seed = options.sampling.seed;
+  options.pivot.repetitions =
+      flags.Int("pivot-repetitions", options.pivot.repetitions);
+  options.missing = ParseMissingFlags(flags);
+  options.backend = flags.Choice("backend", DistanceBackend::kDense);
+  options.num_threads = flags.Int("threads", 0);
+  options.fold = flags.Has("fold");
+  options.max_cluster_size = flags.Int("max-cluster-size", 0);
+  options.allow_fallbacks = !flags.Has("no-fallbacks");
+  if (flags.Has("shards")) {
+    Result<ShardOptions> shards = ParseShardsFlag(flags.Get("shards"));
+    if (!shards.ok()) return shards.status();
+    options.shard = *shards;
   }
-  std::size_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("expected a non-negative object id, "
-                                     "got '" + text + "'");
-    }
-    const std::size_t digit = static_cast<std::size_t>(c - '0');
-    if (value > (static_cast<std::size_t>(-1) - digit) / 10) {
-      return Status::InvalidArgument("object id '" + text +
-                                     "' does not fit in size_t");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
+  return options;
 }
 
-std::optional<AggregationAlgorithm> ParseAlgorithm(const std::string& name) {
-  static const std::map<std::string, AggregationAlgorithm> kNames = {
-      {"best", AggregationAlgorithm::kBestClustering},
-      {"balls", AggregationAlgorithm::kBalls},
-      {"agglomerative", AggregationAlgorithm::kAgglomerative},
-      {"furthest", AggregationAlgorithm::kFurthest},
-      {"localsearch", AggregationAlgorithm::kLocalSearch},
-      {"pivot", AggregationAlgorithm::kPivot},
-      {"annealing", AggregationAlgorithm::kAnnealing},
-      {"majority", AggregationAlgorithm::kMajority},
-      {"exact", AggregationAlgorithm::kExact},
-  };
-  auto it = kNames.find(name);
-  if (it == kNames.end()) return std::nullopt;
-  return it->second;
+/// A fresh budget: --deadline-ms (when given) from now on.
+RunContext WithinDeadline(std::uint64_t deadline_ms) {
+  return deadline_ms > 0 ? RunContext::WithDeadline(
+                               std::chrono::milliseconds(deadline_ms))
+                         : RunContext();
 }
 
-/// `aggregate --stream <eventlog>`: replay a recorded event log through
-/// the incremental StreamAggregator instead of one batch Aggregate. Each
-/// `flush` directive in the log closes a batch: pending events apply to
-/// the stream's label columns, then the solution is repaired in place
-/// (warm LOCALSEARCH) or rebuilt from scratch when accumulated drift
-/// exceeds --rebuild-threshold. --deadline-ms bounds each batch, not the
-/// whole replay. Per-batch progress goes to stderr; the final labels go
-/// to --out or stdout like a batch aggregate.
-///
-/// --journal=PATH makes the stream durable (docs/durability.md): every
-/// event is written ahead to a CRC-framed journal (--fsync-every
-/// controls group fsync) and --snapshot-every=N writes an atomic
-/// snapshot after every N flushes. `aggregate --recover --journal=PATH`
-/// restores the stream from the newest snapshot plus the journal
-/// suffix (truncating a torn tail), optionally continues with a new
-/// --stream log, and emits the recovered labels. SIGINT/SIGTERM shut
-/// the replay down gracefully: the pending batch is flushed, the
-/// journal synced and closed, stats emitted, exit kSignalShutdownExit.
-int CmdStream(const Args& args) {
-  const bool recover = args.Has("recover");
-  const bool durable_mode = args.Has("journal");
+/// --stats[=json|table] attaches a Telemetry sink to the run and dumps
+/// it to stderr at the end; --fake-clock swaps in the deterministic
+/// FakeClock so the dump is byte-stable across runs (used by the golden
+/// smoke test; see docs/observability.md).
+class StatsSink {
+ public:
+  explicit StatsSink(const Flags& flags)
+      : enabled_(flags.Has("stats")),
+        json_(flags.Get("stats") == "json"),
+        telemetry_(flags.Has("fake-clock")
+                       ? static_cast<const Clock*>(&fake_clock_)
+                       : Clock::Real()) {}
+
+  /// The sink, or null without --stats.
+  Telemetry* get() { return enabled_ ? &telemetry_ : nullptr; }
+
+  RunContext Attach(RunContext run) {
+    return enabled_ ? run.WithTelemetry(&telemetry_) : run;
+  }
+
+  void Dump() const {
+    if (!enabled_) return;
+    if (json_) {
+      std::fprintf(stderr, "%s\n", telemetry_.ToJson().c_str());
+    } else {
+      std::ostringstream table;
+      telemetry_.PrintTable(table);
+      std::fputs(table.str().c_str(), stderr);
+    }
+  }
+
+ private:
+  FakeClock fake_clock_{0, 1000};
+  bool enabled_;
+  bool json_;
+  Telemetry telemetry_;
+};
+
+/// Writes the final labels to --out, or to stdout without it.
+Status WriteLabels(const Flags& flags, const Clustering& labels) {
+  const std::string out = flags.Get("out");
+  if (out.empty()) {
+    std::fputs(FormatClustering(labels).c_str(), stdout);
+    return Status::OK();
+  }
+  if (Status s = WriteClusteringFile(out, labels); !s.ok()) return s;
+  std::fprintf(stderr, "wrote %s\n", out.c_str());
+  return Status::OK();
+}
+
+/// `aggregate --stream/--recover` (see its kModes intro): replay an
+/// event log through the StreamAggregator, optionally behind the
+/// write-ahead journal (docs/durability.md). A deadline bounds each
+/// batch; SIGINT/SIGTERM stop with exit kSignalShutdownExit.
+int CmdStream(const Flags& flags) {
+  const bool recover = flags.Has("recover");
+  const bool durable_mode = flags.Has("journal");
   if (recover && !durable_mode) {
     return Fail(Status::InvalidArgument(
         "--recover restores durable state and needs --journal=PATH"));
   }
-  if (!recover && !args.Has("stream")) {
+  if (!recover && !flags.Has("stream")) {
     return Fail(Status::InvalidArgument(
         "--journal needs an event log to replay (--stream FILE) or "
         "--recover"));
   }
+  if (!flags.positional.empty()) {
+    return Fail(Status::InvalidArgument(
+        "a stream reads its clusterings from the event log, not from '" +
+        flags.positional[0] + "'"));
+  }
   std::vector<StreamRecord> records;
   std::vector<std::size_t> record_lines;
-  if (args.Has("stream")) {
+  if (flags.Has("stream")) {
     Result<std::vector<StreamRecord>> parsed =
-        ReadEventLogFile(args.Get("stream"), &record_lines);
+        ReadEventLogFile(flags.Get("stream"), &record_lines);
     if (!parsed.ok()) return Fail(parsed.status());
     records = *std::move(parsed);
   }
 
+  Result<AggregatorOptions> rebuild = ParseAggregatorFlags(flags);
+  if (!rebuild.ok()) return Fail(rebuild.status());
+  // The drift-triggered full rebuild runs the batch Aggregate pipeline
+  // (sharding included); warm repair is incremental and never shards.
   StreamAggregatorOptions options;
-  const std::string algorithm = args.Get("algorithm", "agglomerative");
-  if (auto parsed = ParseAlgorithm(algorithm)) {
-    options.rebuild.algorithm = *parsed;
-  } else {
-    return Fail(Status::InvalidArgument(
-        "unknown algorithm '" + algorithm +
-        "' (expected best, balls, agglomerative, furthest, localsearch, "
-        "pivot, annealing, majority, exact)"));
-  }
-  options.rebuild.refine_with_local_search = args.Has("refine");
-  options.rebuild.balls.alpha = args.GetDouble("alpha", 0.4);
-  if (args.Get("missing") == "ignore") {
-    options.missing.policy = MissingValuePolicy::kIgnore;
-  }
-  options.missing.coin_together_probability =
-      args.GetDouble("coin-p", 0.5);
-  options.num_threads =
-      static_cast<std::size_t>(args.GetInt("threads", 0));
-  options.fold = args.Has("fold");
-  if (args.Has("shards")) {
-    // The drift-triggered full rebuild runs the batch Aggregate pipeline,
-    // so it routes through sharding like any batch run; warm repair is
-    // incremental and never shards.
-    Result<ShardOptions> shards = ParseShardsFlag(args.Get("shards"));
-    if (!shards.ok()) return Fail(shards.status());
-    options.rebuild.shard = *shards;
-  }
-  if (args.Has("max-cluster-size")) {
-    const long long cap = args.GetInt("max-cluster-size", 0);
-    if (cap <= 0) {
-      return Fail(Status::InvalidArgument(
-          "--max-cluster-size expects a positive object count"));
-    }
-    options.rebuild.max_cluster_size = static_cast<std::size_t>(cap);
-    options.repair.max_cluster_size = static_cast<std::size_t>(cap);
-  }
+  options.rebuild = *rebuild;
+  options.missing = rebuild->missing;
+  options.num_threads = rebuild->num_threads;
+  options.fold = rebuild->fold;
+  options.repair.max_cluster_size = rebuild->max_cluster_size;
   options.rebuild_threshold =
-      args.GetDouble("rebuild-threshold", options.rebuild_threshold);
+      flags.Number("rebuild-threshold", options.rebuild_threshold);
   if (options.rebuild_threshold < 0) {
     return Fail(Status::InvalidArgument(
         "--rebuild-threshold expects a non-negative drift bound"));
   }
-  if (args.Has("window")) {
-    const long long window = args.GetInt("window", 0);
-    if (window <= 0) {
-      return Fail(Status::InvalidArgument(
-          "--window expects a positive clustering count"));
-    }
-    options.window = static_cast<std::size_t>(window);
-  }
-
-  long long deadline_ms = 0;
-  if (args.Has("deadline-ms")) {
-    deadline_ms = args.GetInt("deadline-ms", 0);
-    if (deadline_ms <= 0) {
-      return Fail(Status::InvalidArgument(
-          "--deadline-ms expects a positive number of milliseconds"));
-    }
-  }
-
-  const bool want_stats = args.Has("stats");
-  std::string stats_mode = args.Get("stats");
-  if (stats_mode.empty()) stats_mode = "table";
-  if (want_stats && stats_mode != "json" && stats_mode != "table") {
-    return Fail(Status::InvalidArgument("--stats expects 'json' or 'table', "
-                                        "got '" + stats_mode + "'"));
-  }
-  FakeClock fake_clock(0, 1000);
-  Telemetry telemetry(args.Has("fake-clock")
-                          ? static_cast<const clustagg::Clock*>(&fake_clock)
-                          : clustagg::Clock::Real());
+  options.window = flags.Int("window", 0);
+  const std::uint64_t deadline_ms = flags.Int("deadline-ms", 0);
+  StatsSink stats(flags);
 
   // Plain in-memory stream, or the same stream behind the write-ahead
   // journal when --journal is set. `view` is the read side either way.
@@ -316,20 +529,13 @@ int CmdStream(const Args& args) {
   std::unique_ptr<DurableStreamAggregator> durable;
   if (durable_mode) {
     DurabilityOptions durability;
-    durability.journal_path = args.Get("journal");
-    durability.snapshot_path = args.Get("snapshot");
-    const long long fsync_every = args.GetInt("fsync-every", 1);
-    const long long snapshot_every = args.GetInt("snapshot-every", 0);
-    if (fsync_every < 0 || snapshot_every < 0) {
-      return Fail(Status::InvalidArgument(
-          "--fsync-every and --snapshot-every expect non-negative counts"));
-    }
-    durability.fsync_every = static_cast<std::uint64_t>(fsync_every);
-    durability.snapshot_every = static_cast<std::uint64_t>(snapshot_every);
+    durability.journal_path = flags.Get("journal");
+    durability.snapshot_path = flags.Get("snapshot");
+    durability.fsync_every = flags.Int("fsync-every", 1);
+    durability.snapshot_every = flags.Int("snapshot-every", 0);
     Result<std::unique_ptr<DurableStreamAggregator>> opened =
         DurableStreamAggregator::Open(options, std::move(durability),
-                                      FileSystem::Real(),
-                                      want_stats ? &telemetry : nullptr);
+                                      FileSystem::Real(), stats.get());
     if (!opened.ok()) return Fail(opened.status());
     durable = std::move(opened).value();
     const RecoveryReport& rec = durable->recovery();
@@ -347,11 +553,7 @@ int CmdStream(const Args& args) {
 
   // Fresh context per batch: a deadline bounds each flush, not the log.
   const auto make_run = [&]() {
-    RunContext run =
-        deadline_ms > 0
-            ? RunContext::WithDeadline(std::chrono::milliseconds(deadline_ms))
-            : RunContext();
-    return want_stats ? run.WithTelemetry(&telemetry) : run;
+    return stats.Attach(WithinDeadline(deadline_ms));
   };
 
   std::signal(SIGINT, HandleShutdownSignal);
@@ -451,130 +653,29 @@ int CmdStream(const Args& args) {
                  static_cast<int>(g_shutdown_signal),
                  durable ? ", synced and closed the journal" : "");
   }
-  if (want_stats) {
-    if (stats_mode == "json") {
-      std::fprintf(stderr, "%s\n", telemetry.ToJson().c_str());
-    } else {
-      std::ostringstream table;
-      telemetry.PrintTable(table);
-      std::fputs(table.str().c_str(), stderr);
-    }
-  }
-
-  const std::string out = args.Get("out");
-  if (!out.empty()) {
-    if (Status s = WriteClusteringFile(out, view.labels()); !s.ok()) {
-      return Fail(s);
-    }
-    std::fprintf(stderr, "wrote %s\n", out.c_str());
-  } else {
-    std::fputs(FormatClustering(view.labels()).c_str(), stdout);
-  }
+  stats.Dump();
+  if (Status s = WriteLabels(flags, view.labels()); !s.ok()) return Fail(s);
   return interrupted ? kSignalShutdownExit : 0;
 }
 
-int CmdAggregate(const Args& args) {
-  if (args.Has("stream") || args.Has("recover") || args.Has("journal")) {
-    return CmdStream(args);
-  }
+int CmdAggregate(const Flags& flags) {
   // Assemble the input clusterings.
-  Result<ClusteringSet> input = ReadInputSet(args);
+  Result<ClusteringSet> input = ReadInputSet(flags);
   if (!input.ok()) return Fail(input.status());
 
-  AggregatorOptions options;
-  const std::string algorithm = args.Get("algorithm", "agglomerative");
-  if (auto parsed = ParseAlgorithm(algorithm)) {
-    options.algorithm = *parsed;
-  } else {
-    return Fail(Status::InvalidArgument(
-        "unknown algorithm '" + algorithm +
-        "' (expected best, balls, agglomerative, furthest, localsearch, "
-        "pivot, annealing, majority, exact)"));
-  }
-  options.balls.alpha = args.GetDouble("alpha", 0.4);
-  options.refine_with_local_search = args.Has("refine");
-  options.sampling_size =
-      static_cast<std::size_t>(args.GetInt("sample", 0));
-  options.sampling.seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  // --seed also pins the randomized clusterers, so `aggregate
-  // --algorithm pivot --seed N` and `query --local --seed N` simulate
-  // the same permutation stream (default 1 = the option defaults).
-  options.pivot.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  options.annealing.seed =
-      static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  if (args.Has("pivot-repetitions")) {
-    const long long reps = args.GetInt("pivot-repetitions", 0);
-    if (reps <= 0) {
-      return Fail(Status::InvalidArgument(
-          "--pivot-repetitions expects a positive repetition count"));
-    }
-    options.pivot.repetitions = static_cast<std::size_t>(reps);
-  }
-  Result<MissingValueOptions> missing = ParseMissingFlags(args);
-  if (!missing.ok()) return Fail(missing.status());
-  options.missing = *missing;
-  const std::string backend = args.Get("backend", "dense");
-  if (backend == "lazy") {
-    options.backend = DistanceBackend::kLazy;
-  } else if (backend != "dense") {
-    return Fail(Status::InvalidArgument("unknown backend '" + backend +
-                                        "' (expected dense or lazy)"));
-  }
-  options.num_threads =
-      static_cast<std::size_t>(args.GetInt("threads", 0));
-  options.fold = args.Has("fold");
-  if (args.Has("shards")) {
-    Result<ShardOptions> shards = ParseShardsFlag(args.Get("shards"));
-    if (!shards.ok()) return Fail(shards.status());
-    options.shard = *shards;
-  }
-  if (args.Has("max-cluster-size")) {
-    const long long cap = args.GetInt("max-cluster-size", 0);
-    if (cap <= 0) {
-      return Fail(Status::InvalidArgument(
-          "--max-cluster-size expects a positive object count"));
-    }
-    options.max_cluster_size = static_cast<std::size_t>(cap);
-  }
-  if (args.Has("deadline-ms")) {
-    const long long deadline_ms = args.GetInt("deadline-ms", 0);
-    if (deadline_ms <= 0) {
-      return Fail(Status::InvalidArgument(
-          "--deadline-ms expects a positive number of milliseconds"));
-    }
-    options.run =
-        RunContext::WithDeadline(std::chrono::milliseconds(deadline_ms));
-  }
-  options.allow_fallbacks = !args.Has("no-fallbacks");
+  Result<AggregatorOptions> options = ParseAggregatorFlags(flags);
+  if (!options.ok()) return Fail(options.status());
+  StatsSink stats(flags);
+  options->run = stats.Attach(WithinDeadline(flags.Int("deadline-ms", 0)));
 
-  // --stats[=json|table] attaches a Telemetry sink to the run and dumps
-  // it to stderr after the aggregation; --fake-clock swaps in the
-  // deterministic FakeClock so the dump is byte-stable across runs
-  // (used by the golden smoke test; see docs/observability.md).
-  const bool want_stats = args.Has("stats");
-  std::string stats_mode = args.Get("stats");
-  if (stats_mode.empty()) stats_mode = "table";
-  if (want_stats && stats_mode != "json" && stats_mode != "table") {
-    return Fail(Status::InvalidArgument("--stats expects 'json' or 'table', "
-                                        "got '" + stats_mode + "'"));
-  }
-  FakeClock fake_clock(0, 1000);
-  Telemetry telemetry(args.Has("fake-clock")
-                          ? static_cast<const clustagg::Clock*>(&fake_clock)
-                          : clustagg::Clock::Real());
-  if (want_stats) {
-    options.run = options.run.WithTelemetry(&telemetry);
-  }
-
-  Result<AggregationResult> result = Aggregate(*input, options);
+  Result<AggregationResult> result = Aggregate(*input, *options);
   if (!result.ok()) return Fail(result.status());
 
   std::fprintf(stderr,
                "aggregated %zu clusterings of %zu objects with %s: "
                "%zu clusters, D(C) = %.1f\n",
                input->num_clusterings(), input->num_objects(),
-               AggregationAlgorithmName(options.algorithm),
+               AggregationAlgorithmName(options->algorithm),
                result->clustering.NumClusters(),
                result->total_disagreements);
   // The outcome tag and the degradations taken are part of the result's
@@ -597,131 +698,76 @@ int CmdAggregate(const Args& args) {
   for (const std::string& note : result->fallbacks) {
     std::fprintf(stderr, "fallback: %s\n", note.c_str());
   }
-  if (args.Has("report")) {
+  if (flags.Has("report")) {
     std::fprintf(stderr, "distance backend = %s, threads = %zu\n",
-                 DistanceBackendName(options.backend),
-                 ResolveThreadCount(options.num_threads));
+                 DistanceBackendName(options->backend),
+                 ResolveThreadCount(options->num_threads));
     std::fprintf(stderr, "lower bound on D = %.1f\n",
-                 DisagreementLowerBound(*input, options.missing));
+                 DisagreementLowerBound(*input, options->missing));
     const auto sizes = result->clustering.ClusterSizes();
     for (std::size_t c = 0; c < sizes.size(); ++c) {
       std::fprintf(stderr, "  cluster %zu: %zu objects\n", c, sizes[c]);
     }
   }
-  if (want_stats) {
-    if (stats_mode == "json") {
-      std::fprintf(stderr, "%s\n", telemetry.ToJson().c_str());
-    } else {
-      std::ostringstream table;
-      telemetry.PrintTable(table);
-      std::fputs(table.str().c_str(), stderr);
-    }
-  }
-
-  const std::string out = args.Get("out");
-  if (!out.empty()) {
-    if (Status s = WriteClusteringFile(out, result->clustering); !s.ok()) {
-      return Fail(s);
-    }
-    std::fprintf(stderr, "wrote %s\n", out.c_str());
-  } else {
-    std::fputs(FormatClustering(result->clustering).c_str(), stdout);
+  stats.Dump();
+  if (Status s = WriteLabels(flags, result->clustering); !s.ok()) {
+    return Fail(s);
   }
   return 0;
 }
 
-/// `query --local ...`: serve cluster-membership queries from the
-/// sublinear local CC-PIVOT oracle (src/local/, docs/local_queries.md)
-/// without running a full aggregation. The oracle lazily simulates the
-/// single global CC-PIVOT pass pinned by --seed/--threshold, so every
-/// answer — and the full `--all` labeling — is bit-identical to
-/// `aggregate --algorithm pivot --pivot-repetitions 1` with the same
-/// seed over the same inputs. Exactly one of --of U, --pair U,V, --all
-/// selects the query; inputs are read the same way aggregate reads them
-/// (positional label files, --csv, --weights).
-int CmdQuery(const Args& args) {
-  if (!args.Has("local")) {
+/// `query --local` (see its kModes intro): serve membership queries
+/// from the sublinear local CC-PIVOT oracle (docs/local_queries.md)
+/// without running a full aggregation.
+int CmdQuery(const Flags& flags) {
+  if (!flags.Has("local")) {
     return Fail(Status::InvalidArgument(
         "query serves local membership lookups; pass --local "
         "(see 'clustagg help')"));
   }
-  const int selectors = static_cast<int>(args.Has("of")) +
-                        static_cast<int>(args.Has("pair")) +
-                        static_cast<int>(args.Has("all"));
-  if (selectors != 1) {
+  if (flags.Has("of") + flags.Has("pair") + flags.Has("all") != 1) {
     return Fail(Status::InvalidArgument(
         "query expects exactly one of --of U, --pair U,V, --all"));
   }
 
-  Result<ClusteringSet> input = ReadInputSet(args);
+  Result<ClusteringSet> input = ReadInputSet(flags);
   if (!input.ok()) return Fail(input.status());
 
   LocalOracleOptions options;
-  options.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  options.join_threshold = args.GetDouble("threshold", 0.5);
-  if (args.Has("memo")) {
-    const long long memo = args.GetInt("memo", -1);
-    if (memo < 0) {
-      return Fail(Status::InvalidArgument(
-          "--memo expects a non-negative entry count (0 disables "
-          "memoization)"));
-    }
-    options.memo_capacity = static_cast<std::size_t>(memo);
-  }
-  Result<MissingValueOptions> missing = ParseMissingFlags(args);
-  if (!missing.ok()) return Fail(missing.status());
+  options.seed = flags.Int("seed", 1);
+  options.join_threshold = flags.Number("threshold", 0.5);
+  options.memo_capacity = flags.Int("memo", options.memo_capacity);
+  const MissingValueOptions missing = ParseMissingFlags(flags);
 
   // Backend: lazy is the natural serving substrate (O(n*m) memory, no
   // quadratic build before the first answer) and the only one that
   // composes with --fold; dense is offered for A/B checks since both
   // return bit-identical distances.
-  const std::string backend = args.Get("backend", "lazy");
-  const bool fold = args.Has("fold");
+  const DistanceBackend backend =
+      flags.Choice("backend", DistanceBackend::kLazy);
   Result<LocalMembershipOracle> oracle = [&]() -> Result<LocalMembershipOracle> {
-    if (fold) {
-      if (backend == "dense") {
+    if (backend == DistanceBackend::kDense) {
+      if (flags.Has("fold")) {
         return Status::InvalidArgument(
             "--fold simulates over the lazy signature subset; drop "
             "--backend dense");
       }
-      return LocalMembershipOracle::FromClusteringsFolded(*input, *missing,
-                                                          options);
-    }
-    if (backend == "dense") {
       Result<std::shared_ptr<const DenseDistanceSource>> source =
-          DenseDistanceSource::Build(*input, *missing);
+          DenseDistanceSource::Build(*input, missing);
       if (!source.ok()) return source.status();
       return LocalMembershipOracle::Create(*std::move(source), options);
     }
-    if (backend != "lazy") {
-      return Status::InvalidArgument("unknown backend '" + backend +
-                                     "' (expected dense or lazy)");
+    if (flags.Has("fold")) {
+      return LocalMembershipOracle::FromClusteringsFolded(*input, missing,
+                                                          options);
     }
-    return LocalMembershipOracle::FromClusterings(*input, *missing, options);
+    return LocalMembershipOracle::FromClusterings(*input, missing, options);
   }();
   if (!oracle.ok()) return Fail(oracle.status());
 
-  RunContext run;
-  if (args.Has("deadline-ms")) {
-    const long long deadline_ms = args.GetInt("deadline-ms", 0);
-    if (deadline_ms <= 0) {
-      return Fail(Status::InvalidArgument(
-          "--deadline-ms expects a positive number of milliseconds"));
-    }
-    run = RunContext::WithDeadline(std::chrono::milliseconds(deadline_ms));
-  }
-  const bool want_stats = args.Has("stats");
-  std::string stats_mode = args.Get("stats");
-  if (stats_mode.empty()) stats_mode = "table";
-  if (want_stats && stats_mode != "json" && stats_mode != "table") {
-    return Fail(Status::InvalidArgument("--stats expects 'json' or 'table', "
-                                        "got '" + stats_mode + "'"));
-  }
-  FakeClock fake_clock(0, 1000);
-  Telemetry telemetry(args.Has("fake-clock")
-                          ? static_cast<const clustagg::Clock*>(&fake_clock)
-                          : clustagg::Clock::Real());
-  if (want_stats) run = run.WithTelemetry(&telemetry);
+  StatsSink stats(flags);
+  const RunContext run =
+      stats.Attach(WithinDeadline(flags.Int("deadline-ms", 0)));
 
   std::fprintf(stderr,
                "local oracle over %zu clusterings of %zu objects "
@@ -734,11 +780,9 @@ int CmdQuery(const Args& args) {
                       " signatures").c_str()
                    : "");
 
-  int exit_code = 0;
-  if (args.Has("of")) {
-    Result<std::size_t> u = ParseObjectId(args.Get("of"));
-    if (!u.ok()) return Fail(u.status());
-    Result<MembershipAnswer> answer = oracle->ClusterOf(*u, run);
+  if (flags.Has("of")) {
+    const std::size_t u = flags.Int("of", 0);
+    Result<MembershipAnswer> answer = oracle->ClusterOf(u, run);
     if (!answer.ok()) return Fail(answer.status());
     // stdout carries just the canonical cluster id (the owning pivot's
     // object id); everything descriptive goes to stderr.
@@ -747,22 +791,24 @@ int CmdQuery(const Args& args) {
                  "object %zu -> pivot %zu (outcome = %s, "
                  "%llu pivot inspections, chain depth %llu, "
                  "%llu distance queries)\n",
-                 *u, answer->pivot, RunOutcomeName(answer->outcome),
+                 u, answer->pivot, RunOutcomeName(answer->outcome),
                  static_cast<unsigned long long>(answer->pivot_inspections),
                  static_cast<unsigned long long>(answer->chain_depth),
                  static_cast<unsigned long long>(answer->distance_queries));
-  } else if (args.Has("pair")) {
-    const std::string pair = args.Get("pair");
+  } else if (flags.Has("pair")) {
+    const std::string pair = flags.Get("pair");
     const std::size_t comma = pair.find(',');
     if (comma == std::string::npos) {
       return Fail(Status::InvalidArgument(
           "--pair expects two comma-separated object ids, e.g. "
           "--pair 3,17"));
     }
-    Result<std::size_t> u = ParseObjectId(pair.substr(0, comma));
-    if (!u.ok()) return Fail(u.status());
-    Result<std::size_t> v = ParseObjectId(pair.substr(comma + 1));
-    if (!v.ok()) return Fail(v.status());
+    Result<std::uint64_t> u = ParseUnsigned(pair.substr(0, comma));
+    Result<std::uint64_t> v = ParseUnsigned(pair.substr(comma + 1));
+    if (!u.ok() || !v.ok()) {
+      return Fail(Status::InvalidArgument(
+          "--pair: " + std::string((u.ok() ? v : u).status().message())));
+    }
     Result<SameClusterAnswer> answer = oracle->SameCluster(*u, *v, run);
     if (!answer.ok()) return Fail(answer.status());
     std::fputs(answer->same ? "same\n" : "different\n", stdout);
@@ -775,36 +821,20 @@ int CmdQuery(const Args& args) {
     if (!labels.ok()) return Fail(labels.status());
     std::fprintf(stderr, "materialized %zu objects into %zu clusters\n",
                  labels->size(), labels->NumClusters());
-    const std::string out = args.Get("out");
-    if (!out.empty()) {
-      if (Status s = WriteClusteringFile(out, *labels); !s.ok()) {
-        return Fail(s);
-      }
-      std::fprintf(stderr, "wrote %s\n", out.c_str());
-    } else {
-      std::fputs(FormatClustering(*labels).c_str(), stdout);
-    }
+    if (Status s = WriteLabels(flags, *labels); !s.ok()) return Fail(s);
   }
-  if (want_stats) {
-    if (stats_mode == "json") {
-      std::fprintf(stderr, "%s\n", telemetry.ToJson().c_str());
-    } else {
-      std::ostringstream table;
-      telemetry.PrintTable(table);
-      std::fputs(table.str().c_str(), stderr);
-    }
-  }
-  return exit_code;
+  stats.Dump();
+  return 0;
 }
 
-int CmdEval(const Args& args) {
-  if (args.positional().size() != 2) {
+int CmdEval(const Flags& flags) {
+  if (flags.positional.size() != 2) {
     return Fail(Status::InvalidArgument(
         "usage: clustagg eval <truth.labels> <candidate.labels>"));
   }
-  Result<Clustering> a = ReadClusteringFile(args.positional()[0]);
+  Result<Clustering> a = ReadClusteringFile(flags.positional[0]);
   if (!a.ok()) return Fail(a.status());
-  Result<Clustering> b = ReadClusteringFile(args.positional()[1]);
+  Result<Clustering> b = ReadClusteringFile(flags.positional[1]);
   if (!b.ok()) return Fail(b.status());
 
   Result<std::uint64_t> d = DisagreementDistance(*a, *b);
@@ -823,22 +853,21 @@ int CmdEval(const Args& args) {
   return 0;
 }
 
-int CmdGen(const Args& args) {
-  if (args.positional().empty()) {
+int CmdGen(const Flags& flags) {
+  if (flags.positional.size() != 1) {
     return Fail(Status::InvalidArgument(
         "usage: clustagg gen <votes|mushrooms|census|gaussian> "
         "[--seed N] [--rows N] [--out file]"));
   }
-  const std::string kind = args.positional()[0];
-  const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::string out = args.Get("out", kind + ".csv");
+  const std::string kind = flags.positional[0];
+  const std::uint64_t seed = flags.Int("seed", 1);
+  const std::string out = flags.Get("out", kind + ".csv");
 
   Result<SyntheticCategoricalData> data = [&]() {
     if (kind == "votes") return MakeVotesLike(seed);
     if (kind == "mushrooms") return MakeMushroomsLike(seed);
     if (kind == "census") {
-      return MakeCensusLike(
-          seed, static_cast<std::size_t>(args.GetInt("rows", 32561)));
+      return MakeCensusLike(seed, flags.Int("rows", 32561));
     }
     return Result<SyntheticCategoricalData>(Status::InvalidArgument(
         "unknown dataset '" + kind +
@@ -846,10 +875,8 @@ int CmdGen(const Args& args) {
   }();
   if (kind == "gaussian") {
     GaussianMixtureOptions gen;
-    gen.num_clusters = static_cast<std::size_t>(args.GetInt("clusters", 5));
-    gen.points_per_cluster =
-        static_cast<std::size_t>(args.GetInt("rows", 500)) /
-        gen.num_clusters;
+    gen.num_clusters = flags.Int("clusters", 5);
+    gen.points_per_cluster = flags.Int("rows", 500) / gen.num_clusters;
     gen.seed = seed;
     Result<Dataset2D> points = GenerateGaussianMixture(gen);
     if (!points.ok()) return Fail(points.status());
@@ -874,14 +901,10 @@ int CmdGen(const Args& args) {
   CsvDataset dataset;
   dataset.table = std::move(data->table);
   for (std::size_t a = 0; a < dataset.table.num_attributes(); ++a) {
-    std::string col = "a";
-    col += std::to_string(a);
-    dataset.column_names.push_back(std::move(col));
+    dataset.column_names.push_back("a" + std::to_string(a));
   }
   for (std::size_t c = 0; c < dataset.table.num_classes(); ++c) {
-    std::string cls = "class";
-    cls += std::to_string(c);
-    dataset.class_names.push_back(std::move(cls));
+    dataset.class_names.push_back("class" + std::to_string(c));
   }
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -895,131 +918,85 @@ int CmdGen(const Args& args) {
   return 0;
 }
 
+constexpr ModeSpec kModes[] = {
+    {kAggregate, "aggregate", CmdAggregate, "aggregate [FILE...] [flags]",
+     "Aggregate label files (one clustering per file, labels "
+     "whitespace-separated, '?' = missing) or the attribute clusterings "
+     "of a categorical CSV into one clustering, written to --out or "
+     "stdout; the summary goes to stderr."},
+    {kStream, "aggregate --stream/--recover", CmdStream,
+     "aggregate (--stream FILE | --recover --journal PATH) [flags]",
+     "Replay an event log through the incremental StreamAggregator. "
+     "Clusterings and objects get stable 0-based ids in arrival order. "
+     "Each 'flush' closes a batch: its events apply to the label "
+     "columns, then the solution is repaired in place (LOCALSEARCH from "
+     "the previous labels) or rebuilt with --algorithm once drift "
+     "exceeds --rebuild-threshold. Batch progress goes to stderr, the "
+     "final labels to --out or stdout. --recover loads the newest valid "
+     "snapshot and replays the journal suffix, truncating a torn final "
+     "frame; damage anywhere else exits 8, never partial state. "
+     "SIGINT/SIGTERM flush the pending batch, sync and close the "
+     "journal and exit 9."},
+    {kQuery, "query", CmdQuery,
+     "query --local (--of U | --pair U,V | --all) [FILE...] [flags]",
+     "Answer cluster-membership questions by lazily simulating the "
+     "single CC-PIVOT run pinned by --seed and --threshold "
+     "(docs/local_queries.md). Every answer is bit-identical to "
+     "'aggregate --algorithm pivot --pivot-repetitions 1' under the "
+     "same seed and inputs. Inputs are read like aggregate's."},
+    {kEval, "eval", CmdEval, "eval TRUTH.labels CANDIDATE.labels",
+     "Rand index, adjusted Rand index, NMI and disagreement distance."},
+    {kGen, "gen", CmdGen, "gen votes|mushrooms|census|gaussian [flags]",
+     "Write one of the paper's synthetic datasets as CSV."},
+};
+static_assert(kModes[1].mode == kStream);
+
+/// Prints `text` word-wrapped to 79 columns, continuing a line already
+/// `column` wide and indenting every further line by `indent`.
+void PrintWrapped(std::string_view text, std::size_t indent,
+                  std::size_t column) {
+  while (!text.empty()) {
+    const std::string_view word = text.substr(0, text.find(' '));
+    text.remove_prefix(std::min(text.size(), word.size() + 1));
+    if (column > indent && column + 1 + word.size() > 79) {
+      std::printf("\n%*s", static_cast<int>(indent), "");
+      column = indent;
+    } else if (column > indent) {
+      std::putchar(' ');
+      ++column;
+    }
+    std::fwrite(word.data(), 1, word.size(), stdout);
+    column += word.size();
+  }
+  std::putchar('\n');
+}
+
+/// `help`: every mode's usage and intro, then its rows of kFlags.
 int CmdHelp() {
+  std::puts("clustagg — clustering aggregation (Gionis, Mannila, Tsaparas; "
+            "ICDE 2005)\n\nFlags take --name VALUE or --name=VALUE; a flag "
+            "a mode does not use is an error.");
+  for (const ModeSpec& mode : kModes) {
+    std::printf("\n%s\n      ", mode.usage);
+    PrintWrapped(mode.intro, 6, 6);
+    for (const FlagSpec& flag : kFlags) {
+      if ((flag.modes & mode.mode) == 0) continue;
+      std::string label = std::string("--") + flag.name;
+      if (flag.bare != nullptr) {
+        label += std::string("[=") + flag.value + "]";
+      } else if (flag.kind != kBool) {
+        label += std::string(" ") + flag.value;
+      }
+      if (label.size() > 26) {
+        std::printf("  %s\n%30s", label.c_str(), "");
+      } else {
+        std::printf("  %-26s  ", label.c_str());
+      }
+      PrintWrapped(flag.help, 30, 30);
+    }
+  }
   std::puts(
-      "clustagg — clustering aggregation (Gionis, Mannila, Tsaparas; "
-      "ICDE 2005)\n"
-      "\n"
-      "subcommands:\n"
-      "  aggregate [files...] [--csv FILE [--class-column NAME]]\n"
-      "            [--algorithm best|balls|agglomerative|furthest|\n"
-      "             localsearch|pivot|annealing|majority|exact]\n"
-      "            [--alpha X] [--refine] [--sample N] [--seed N]\n"
-      "            [--pivot-repetitions N]\n"
-      "            [--missing coin|ignore] [--coin-p P]\n"
-      "            [--backend dense|lazy] [--threads N] [--fold]\n"
-      "            [--shards auto|off|N] [--max-cluster-size N]\n"
-      "            [--weights w1,w2,...] [--deadline-ms N]\n"
-      "            [--no-fallbacks] [--out FILE] [--report]\n"
-      "            [--stats[=json|table]] [--fake-clock]\n"
-      "      aggregate label files (one clustering per file, labels\n"
-      "      whitespace-separated, '?' = missing) or the attribute\n"
-      "      clusterings of a categorical CSV. --backend dense (default)\n"
-      "      materializes the O(n^2/2) distance matrix in parallel;\n"
-      "      --backend lazy keeps O(n*m) memory and recomputes distances\n"
-      "      on demand. --threads 0 (default) = one per hardware core.\n"
-      "      --seed pins every randomized stage (sampling, pivot,\n"
-      "      annealing); --pivot-repetitions overrides PIVOT's default 8\n"
-      "      attempts (1 = the single run the local query oracle\n"
-      "      simulates).\n"
-      "      --fold clusters one weighted representative per distinct\n"
-      "      label tuple and expands back — exact, and much faster when\n"
-      "      objects repeat (see docs/performance.md).\n"
-      "      --shards decomposes the agreement graph (pairs with\n"
-      "      X_uv < 1/2) into connected components, solves each shard\n"
-      "      independently in parallel, and stitches the results with an\n"
-      "      exact error bound (see docs/sharding.md): 'auto' shards only\n"
-      "      when the instance is large enough to pay off, N forces N\n"
-      "      balanced shards, 'off' (default) disables sharding.\n"
-      "      --max-cluster-size caps how many objects LOCALSEARCH may\n"
-      "      gather into one cluster (size-constrained correlation\n"
-      "      clustering); moves that would overflow the cap are skipped.\n"
-      "      --deadline-ms bounds the wall clock: when it fires, the best\n"
-      "      clustering found so far is returned (exit 0) and the report\n"
-      "      line 'run outcome = deadline_exceeded' is printed instead of\n"
-      "      'converged'. --no-fallbacks disables graceful degradation\n"
-      "      (dense->lazy on allocation failure, exact->balls+localsearch\n"
-      "      beyond EXACT's tractable size); degradations taken are\n"
-      "      reported as 'fallback: ...' lines on stderr. --stats dumps\n"
-      "      run telemetry (phase spans, counters, per-clusterer\n"
-      "      convergence traces; see docs/observability.md) to stderr as\n"
-      "      a table or JSON; --fake-clock substitutes a deterministic\n"
-      "      clock so --stats=json output is byte-stable.\n"
-      "  aggregate --stream FILE [--rebuild-threshold X] [--fold]\n"
-      "            [--window N]\n"
-      "            [--algorithm ...] [--missing coin|ignore] [--coin-p P]\n"
-      "            [--shards auto|off|N] [--max-cluster-size N]\n"
-      "            [--threads N] [--deadline-ms N] [--out FILE]\n"
-      "            [--stats[=json|table]] [--fake-clock]\n"
-      "            [--journal PATH [--fsync-every N] [--snapshot-every N]\n"
-      "             [--snapshot PATH]] [--recover]\n"
-      "      replay a recorded event log (directives: 'clustering\n"
-      "      [weight=W] L1..Ln', 'object L1..Lm', 'remove_clustering ID',\n"
-      "      'remove_object ID', 'flush', '#' comments, '?' = missing;\n"
-      "      see docs/streaming.md) through the incremental\n"
-      "      StreamAggregator. Each 'flush' closes a batch: events apply\n"
-      "      to the stream's label columns, then the solution is\n"
-      "      repaired in place (LOCALSEARCH from the previous labels)\n"
-      "      or fully rebuilt with\n"
-      "      --algorithm when accumulated drift exceeds\n"
-      "      --rebuild-threshold (default 0.25). Clusterings and objects\n"
-      "      get stable 0-based ids in arrival order (never reused);\n"
-      "      remove_* directives evict by id, and --window N keeps only\n"
-      "      the N newest clusterings, auto-evicting the oldest when an\n"
-      "      add overflows the window (see docs/streaming.md).\n"
-      "      --deadline-ms bounds each batch; an interrupted batch keeps\n"
-      "      the remainder queued. Per-batch progress goes to stderr,\n"
-      "      final labels to --out or stdout.\n"
-      "      --journal writes every event ahead to a CRC-framed journal\n"
-      "      before applying it, so a crash loses nothing durable;\n"
-      "      --fsync-every N (default 1) group-fsyncs every N records\n"
-      "      (0 = let the OS decide), --snapshot-every N writes an atomic\n"
-      "      snapshot after every N flushes (to --snapshot PATH, default\n"
-      "      JOURNAL.snap) to bound recovery replay. SIGINT/SIGTERM stop\n"
-      "      the replay gracefully: the pending batch is flushed, the\n"
-      "      journal synced and closed, stats emitted, exit 9.\n"
-      "  aggregate --recover --journal PATH [--snapshot PATH]\n"
-      "            [--stream FILE] [stream flags as above]\n"
-      "      recover the durable stream: load the newest valid snapshot,\n"
-      "      replay the journal suffix past its cursor (truncating a torn\n"
-      "      final frame; corrupt snapshots and mid-file journal damage\n"
-      "      fail with exit 8, never partial state), then optionally\n"
-      "      continue with a new --stream log. Recovered state is\n"
-      "      bit-identical to an uninterrupted run over the same durable\n"
-      "      records (see docs/durability.md).\n"
-      "  query --local (--of U | --pair U,V | --all) [files...]\n"
-      "        [--csv FILE [--class-column NAME]] [--weights w1,w2,...]\n"
-      "        [--seed N] [--threshold X] [--memo N] [--fold]\n"
-      "        [--backend dense|lazy] [--missing coin|ignore]\n"
-      "        [--coin-p P] [--deadline-ms N] [--out FILE]\n"
-      "        [--stats[=json|table]] [--fake-clock]\n"
-      "      answer cluster-membership questions from the sublinear\n"
-      "      local CC-PIVOT oracle (docs/local_queries.md): lazily\n"
-      "      simulate the single global CC-PIVOT run pinned by --seed\n"
-      "      (default 1) and --threshold (default 0.5) instead of\n"
-      "      aggregating. Every answer is bit-identical to, and mutually\n"
-      "      consistent with, 'aggregate --algorithm pivot\n"
-      "      --pivot-repetitions 1' under the same seed and inputs.\n"
-      "      --of U prints U's canonical cluster id (the owning pivot's\n"
-      "      object id) on stdout; --pair U,V prints 'same' or\n"
-      "      'different'; --all materializes the full normalized\n"
-      "      labeling (to --out or stdout) by querying every object.\n"
-      "      --memo N caps the LRU memo of pivot adjudications\n"
-      "      (0 disables it; answers are identical either way). --fold\n"
-      "      simulates over one representative per distinct label tuple\n"
-      "      and answers object-space queries through the grouping\n"
-      "      (lazy backend only). --backend lazy (default) needs no\n"
-      "      quadratic build before the first answer. --deadline-ms\n"
-      "      bounds the query; an interrupted query degrades to a\n"
-      "      tagged best-so-far singleton (exit 0, outcome on stderr).\n"
-      "  eval <truth.labels> <candidate.labels>\n"
-      "      rand / adjusted rand / NMI / disagreement distance.\n"
-      "  gen <votes|mushrooms|census|gaussian> [--seed N] [--rows N]\n"
-      "      [--out FILE]\n"
-      "      write one of the paper's synthetic datasets.\n"
-      "  help\n"
-      "\n"
-      "exit codes (diagnostics always go to stderr):\n"
+      "\nexit codes (diagnostics always go to stderr):\n"
       "  0  success (including deadline-exceeded best-so-far results)\n"
       "  2  invalid argument (bad flags, malformed input files)\n"
       "  3  failed precondition\n"
@@ -1031,22 +1008,31 @@ int CmdHelp() {
       "  8  data loss (corrupt snapshot, mid-file journal corruption, or\n"
       "     a snapshot cursor past the journal; see docs/durability.md)\n"
       "  9  graceful signal shutdown (SIGINT/SIGTERM during a stream\n"
-      "     replay: pending batch flushed, journal synced and closed)\n");
+      "     replay: pending batch flushed, journal synced and closed)");
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return CmdHelp();
-  const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  if (command == "aggregate") return CmdAggregate(args);
-  if (command == "query") return CmdQuery(args);
-  if (command == "eval") return CmdEval(args);
-  if (command == "gen") return CmdGen(args);
+  const std::string command = argc < 2 ? "help" : argv[1];
   if (command == "help" || command == "--help") return CmdHelp();
-  std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
-  CmdHelp();
-  return ExitCodeForStatus(StatusCode::kInvalidArgument);
+  const ModeSpec* mode = nullptr;
+  for (const ModeSpec& spec : kModes) {
+    if (command == spec.name) mode = &spec;
+  }
+  if (mode == nullptr) {
+    std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
+    CmdHelp();
+    return ExitCodeForStatus(StatusCode::kInvalidArgument);
+  }
+  Result<Flags> flags = ParseFlags(argc, argv);
+  if (!flags.ok()) return Fail(flags.status());
+  if (mode->mode == kAggregate &&
+      (flags->Has("stream") || flags->Has("recover") ||
+       flags->Has("journal"))) {
+    mode = &kModes[1];
+  }
+  if (Status s = CheckMode(*flags, *mode); !s.ok()) return Fail(s);
+  return mode->run(*flags);
 }

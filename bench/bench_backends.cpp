@@ -1,10 +1,10 @@
 // Distance-backend comparison harness.
 //
 // Part 1 pits the seed's clustering-major row-wise dense kernel (kept
-// here as a frozen baseline) against the shipped object-major tiled
-// kernel on an n = 4096, m = 9 instance, then against the bit-packed
-// SWAR row kernel (and the AVX2 kernel when compiled in), checking
-// bit-identical output at every tier and reporting the speedups.
+// here as a frozen baseline) against the shipped bit-packed SWAR row
+// kernel (and the AVX2 kernel when compiled in) on an n = 4096, m = 9
+// instance, checking bit-identical output at every tier and reporting
+// the speedups.
 //
 // Part 2 measures parallel dense construction scaling at 1, 2, 4, and 8
 // threads — the band-partitioned builder should scale near-linearly up
@@ -12,9 +12,8 @@
 // emitted json; on a 1-core container every multi-thread row is pure
 // scheduling overhead).
 //
-// Part 3 measures per-query latency of the lazy backend on the
-// mismatch-count fast path (complete labels, unit weights), the packed
-// single-word kernel on the same instance, and the general
+// Part 3 measures per-query latency of the lazy backend on the packed
+// single-word kernel (complete labels, unit weights) and on the general
 // weighted/missing path. Queries walk a precomputed pair buffer so the
 // numbers isolate the distance call from index generation (an RNG draw
 // costs more than the kernel under test).
@@ -36,7 +35,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "bench_common.h"
 #include "clustagg/clustagg.h"
@@ -173,7 +171,7 @@ SymmetricMatrix<float> LegacyRowWiseBuild(const LegacyColumns& cols,
 
 // ------------------------------------------------------------- parts
 
-void LegacyVsTiledKernel(JsonObject* json) {
+void LegacyVsPackedKernel(JsonObject* json) {
   const std::size_t n = 4096;
   const std::size_t m = 9;
   const std::size_t threads = ResolveThreadCount(0);
@@ -188,70 +186,36 @@ void LegacyVsTiledKernel(JsonObject* json) {
   std::printf("  legacy row-wise (clustering-major): %.3f s\n",
               legacy_seconds);
 
-  // Tiled byte-compare kernel, packing forced off: this is the PR 4
-  // baseline the packed kernel is measured against.
-  double tiled_seconds = 0.0;
-  std::vector<float> tiled_packed;
-  {
-    TierGuard guard(PackedKernelTier::kPortable);
-    watch.Restart();
-    Result<std::shared_ptr<const DenseDistanceSource>> tiled =
-        DenseDistanceSource::Build(input, {}, 0);
-    CLUSTAGG_CHECK_OK(tiled.status());
-    tiled_seconds = watch.ElapsedSeconds();
-    tiled_packed = (*tiled)->dense_matrix()->packed();
-  }
-  std::printf("  tiled (object-major, fast path):    %.3f s\n",
-              tiled_seconds);
-  std::printf("  speedup: %.2fx\n", legacy_seconds / tiled_seconds);
-
-  // The overhaul promises bit-identical output, so verify it here too:
-  // a faster kernel with different numbers would be a bug, not a win.
-  CLUSTAGG_CHECK(tiled_packed == legacy.packed());
-
-  // Bit-packed SWAR row kernel, then the AVX2 kernel when this build
-  // carries it — each against the same bit-identity bar.
-  double swar_seconds = 0.0;
-  {
-    TierGuard guard(PackedKernelTier::kSwar);
-    watch.Restart();
-    Result<std::shared_ptr<const DenseDistanceSource>> packed_dense =
-        DenseDistanceSource::Build(input, {}, 0);
-    CLUSTAGG_CHECK_OK(packed_dense.status());
-    swar_seconds = watch.ElapsedSeconds();
-    CLUSTAGG_CHECK((*packed_dense)->dense_matrix()->packed() ==
-                   tiled_packed);
-  }
-  std::printf("  packed (SWAR row kernel):           %.3f s\n",
-              swar_seconds);
-  std::printf("  packed speedup over tiled: %.2fx\n",
-              tiled_seconds / swar_seconds);
-
   JsonObject part;
   part.Set("n", n)
       .Set("m", m)
       .Set("threads", threads)
-      .Set("legacy_rowwise_build_ns", legacy_seconds * 1e9)
-      .Set("tiled_build_ns", tiled_seconds * 1e9)
-      .Set("speedup", legacy_seconds / tiled_seconds)
-      .Set("packed_build_ns", swar_seconds * 1e9)
-      .Set("packed_speedup", tiled_seconds / swar_seconds);
-  if (internal::Avx2KernelAvailable()) {
-    double avx2_seconds = 0.0;
-    {
-      TierGuard guard(PackedKernelTier::kAvx2);
-      watch.Restart();
-      Result<std::shared_ptr<const DenseDistanceSource>> avx2_dense =
-          DenseDistanceSource::Build(input, {}, 0);
-      CLUSTAGG_CHECK_OK(avx2_dense.status());
-      avx2_seconds = watch.ElapsedSeconds();
-      CLUSTAGG_CHECK((*avx2_dense)->dense_matrix()->packed() ==
-                     tiled_packed);
+      .Set("legacy_rowwise_build_ns", legacy_seconds * 1e9);
+  // Bit-packed SWAR row kernel, then the AVX2 kernel when this build
+  // carries it. A faster kernel with different numbers would be a bug,
+  // not a win, so each must reproduce the legacy matrix bit for bit.
+  const struct {
+    const char* name;
+    const char* prefix;
+    PackedKernelTier tier;
+  } tiers[] = {{"SWAR", "packed", PackedKernelTier::kSwar},
+               {"AVX2", "avx2", PackedKernelTier::kAvx2}};
+  for (const auto& t : tiers) {
+    if (t.tier == PackedKernelTier::kAvx2 &&
+        !internal::Avx2KernelAvailable()) {
+      continue;
     }
-    std::printf("  packed (AVX2 row kernel):           %.3f s\n",
-                avx2_seconds);
-    part.Set("avx2_build_ns", avx2_seconds * 1e9)
-        .Set("avx2_speedup", tiled_seconds / avx2_seconds);
+    TierGuard guard(t.tier);
+    watch.Restart();
+    Result<std::shared_ptr<const DenseDistanceSource>> dense =
+        DenseDistanceSource::Build(input, {}, 0);
+    CLUSTAGG_CHECK_OK(dense.status());
+    const double seconds = watch.ElapsedSeconds();
+    CLUSTAGG_CHECK((*dense)->dense_matrix()->packed() == legacy.packed());
+    std::printf("  packed (%s row kernel): %.3f s, speedup %.2fx\n",
+                t.name, seconds, legacy_seconds / seconds);
+    part.Set(std::string(t.prefix) + "_build_ns", seconds * 1e9)
+        .Set(std::string(t.prefix) + "_speedup", legacy_seconds / seconds);
   }
   json->Set("dense_kernel", part);
 }
@@ -287,7 +251,7 @@ void QueryLatency(JsonObject* json) {
   const std::size_t queries = 4'000'000;
   std::printf("\nlazy per-query latency, n = %zu, m = %zu\n", n, m);
 
-  // Fast path: complete labels, unit weights.
+  // Plain path: complete labels, unit weights.
   const ClusteringSet complete = PlantedInput(n, m, 8, 0.2, 5);
   // General path: the same shape with 10%% missing labels.
   Rng rng(7);
@@ -324,17 +288,11 @@ void QueryLatency(JsonObject* json) {
     const char* name;
     const char* key;
     const ClusteringSet* input;
-    PackedKernelTier tier;
-  } cases[] = {{"fast path (byte loop, complete)", "fast_path_ns",
-                &complete, PackedKernelTier::kPortable},
-               {"packed fast path (SWAR word)", "packed_query_ns",
-                &complete, PackedKernelTier::kSwar},
+  } cases[] = {{"packed fast path (SWAR word)", "packed_query_ns", &complete},
                {"general path (10% missing)", "general_path_ns",
-                &with_missing, PackedKernelTier::kSwar}};
-  double fast_sink = 0.0;
-  double packed_sink = 0.0;
+                &with_missing}};
   for (const auto& c : cases) {
-    TierGuard guard(c.tier);
+    TierGuard guard(PackedKernelTier::kSwar);
     Result<std::shared_ptr<const LazyDistanceSource>> lazy =
         LazyDistanceSource::Build(*c.input, {});
     CLUSTAGG_CHECK_OK(lazy.status());
@@ -348,12 +306,16 @@ void QueryLatency(JsonObject* json) {
                       static_cast<double>(queries);
     std::printf("  %s: %.1f ns/query (checksum %.1f)\n", c.name, ns, sink);
     part.Set(c.key, ns);
-    if (std::strcmp(c.key, "fast_path_ns") == 0) fast_sink = sink;
-    if (std::strcmp(c.key, "packed_query_ns") == 0) packed_sink = sink;
+    // Same pairs, summed in the same order from float(PairwiseDistance):
+    // every kernel must reproduce the reference to the last bit.
+    double reference = 0.0;
+    for (std::size_t q = 0; q < queries; ++q) {
+      const std::size_t i = q & (kPairBuf - 1);
+      reference += static_cast<float>(
+          c.input->PairwiseDistance(pair_u[i], pair_v[i]));
+    }
+    CLUSTAGG_CHECK(sink == reference);
   }
-  // Same pairs, same instance: the packed kernel must reproduce the
-  // byte loop's answers to the last bit, so the sums match exactly.
-  CLUSTAGG_CHECK(fast_sink == packed_sink);
   json->Set("lazy_query", part);
 }
 
@@ -435,7 +397,7 @@ int main(int argc, char** argv) {
   JsonObject json;
   json.Set("bench", std::string("backends"));
   json.Set("hardware_threads", ResolveThreadCount(0));
-  LegacyVsTiledKernel(&json);
+  LegacyVsPackedKernel(&json);
   DenseConstructionScaling(&json);
   QueryLatency(&json);
   FoldSpeedup(&json);

@@ -92,12 +92,12 @@ void BM_BuildInstanceDense(benchmark::State& state) {
 BENCHMARK(BM_BuildInstanceDense)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Lazy fast-path point queries at the acceptance point (n = 4096,
-// m = 9), byte-compare loop vs. the packed SWAR word kernel. Pairs come
-// from a precomputed buffer: the RNG draw alone costs more than either
-// kernel, so in-loop generation would flatten the comparison.
-void LazyQueryAtTier(benchmark::State& state,
-                     internal::PackedKernelTier tier) {
+// Lazy point queries at the acceptance point (n = 4096, m = 9) on the
+// packed SWAR word kernel. Pairs come from a precomputed buffer: the RNG
+// draw alone costs more than the kernel, so in-loop generation would
+// bury it.
+void BM_LazyQueryPacked(benchmark::State& state) {
+  const internal::PackedKernelTier tier = internal::PackedKernelTier::kSwar;
   internal::SetPackedKernelTierForTest(&tier);
   const std::size_t n = 4096;
   const ClusteringSet input = PlantedInput(n, 9, 8, 0.2, 5);
@@ -119,22 +119,13 @@ void LazyQueryAtTier(benchmark::State& state,
   }
   internal::SetPackedKernelTierForTest(nullptr);
 }
-
-void BM_LazyQueryFastPath(benchmark::State& state) {
-  LazyQueryAtTier(state, internal::PackedKernelTier::kPortable);
-}
-BENCHMARK(BM_LazyQueryFastPath);
-
-void BM_LazyQueryPacked(benchmark::State& state) {
-  LazyQueryAtTier(state, internal::PackedKernelTier::kSwar);
-}
 BENCHMARK(BM_LazyQueryPacked);
 
-// Dense build at the acceptance point under each kernel tier: the
-// packed row kernel's speedup over Arg-matched BM_BuildInstanceDense
-// runs is the build-side claim.
-void DenseBuildAtTier(benchmark::State& state,
-                      internal::PackedKernelTier tier) {
+// Dense build at the acceptance point on the SWAR row kernel, one
+// thread: compare with the Arg(1) BM_BuildInstanceDense run, which also
+// pays for the instance wrapper.
+void BM_DenseBuildPacked(benchmark::State& state) {
+  const internal::PackedKernelTier tier = internal::PackedKernelTier::kSwar;
   internal::SetPackedKernelTierForTest(&tier);
   const ClusteringSet input = PlantedInput(4096, 9, 8, 0.2, 2);
   for (auto _ : state) {
@@ -144,15 +135,6 @@ void DenseBuildAtTier(benchmark::State& state,
     benchmark::DoNotOptimize(dense);
   }
   internal::SetPackedKernelTierForTest(nullptr);
-}
-
-void BM_DenseBuildPortable(benchmark::State& state) {
-  DenseBuildAtTier(state, internal::PackedKernelTier::kPortable);
-}
-BENCHMARK(BM_DenseBuildPortable)->Unit(benchmark::kMillisecond);
-
-void BM_DenseBuildPacked(benchmark::State& state) {
-  DenseBuildAtTier(state, internal::PackedKernelTier::kSwar);
 }
 BENCHMARK(BM_DenseBuildPacked)->Unit(benchmark::kMillisecond);
 

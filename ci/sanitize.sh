@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Unified sanitizer matrix leg: builds the repo twice
-# (CLUSTAGG_SANITIZE=address, =thread) and runs one `ctest -L` pass per
-# label argument. `-L` matches a regex, so a single argument can cover
-# several labels at once, and listing a label again on its own pins it
-# against silently falling out of a combined pass. --no-tests=error
-# keeps a labeling regression from passing a leg vacuously.
+# (CLUSTAGG_SANITIZE=address, which is ASan plus UBSan with every
+# undefined-behaviour report fatal, and =thread) and runs one
+# `ctest -L` pass per label argument. `-L` matches a regex, so a single
+# argument can cover several labels at once, and listing a label again
+# on its own pins it against silently falling out of a combined pass.
+# --no-tests=error keeps a labeling regression from passing a leg
+# vacuously.
 #
 # The per-subsystem fast gates wired to every push:
 #   ci/sanitize.sh 'stream|differential' differential   # streaming
@@ -22,10 +24,9 @@
 #
 # `native` is a special leg, not a label regex: it builds once with
 # CLUSTAGG_NATIVE=ON (compiling the AVX2 packed-label kernel) under
-# ASan and runs the backend-equivalence and property suites plus the
-# tier-forcing CLI smoke — every dispatch tier (portable, swar, and
-# avx2 where the CPU has it) answers under sanitizer instrumentation,
-# and the bit-identity checks diff their costs against each other.
+# ASan + UBSan and runs the backend-equivalence and property suites
+# once. Their tier loops force swar and avx2 (where the CPU has it) in
+# process and check each against float(PairwiseDistance) bit for bit.
 #
 # The local leg runs the membership-oracle suites (labels `local` and
 # `differential`): many threads share one oracle and race its LRU memo,
@@ -68,22 +69,16 @@ if [ "$#" -eq 0 ]; then
 fi
 
 if [ "$1" = "native" ]; then
-  # AVX2 packed-kernel leg: one ASan build with the native kernel
-  # compiled in, running the backend-equivalence + property suites and
-  # the CLUSTAGG_KERNEL tier-forcing smoke. Forcing each tier through
-  # the environment exercises the runtime dispatch itself; the suites'
-  # EXPECT_EQ bit-identity checks are the cost diff.
+  # AVX2 packed-kernel leg: one ASan + UBSan build with the native
+  # kernel compiled in, running the backend-equivalence + property
+  # suites.
   BUILD="$ROOT/build-sanitize-native"
   echo "=== CLUSTAGG_SANITIZE=address CLUSTAGG_NATIVE=ON ==="
   cmake -B "$BUILD" -S "$ROOT" -DCLUSTAGG_SANITIZE=address \
         -DCLUSTAGG_NATIVE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build "$BUILD" -j"$JOBS"
-  for TIER in portable swar avx2; do
-    echo "--- CLUSTAGG_KERNEL=$TIER ---"
-    (cd "$BUILD" && CLUSTAGG_KERNEL="$TIER" \
-         ctest -L 'backend|property' --no-tests=error \
-         --output-on-failure -j"$JOBS")
-  done
+  (cd "$BUILD" && ctest -L 'backend|property' --no-tests=error \
+       --output-on-failure -j"$JOBS")
   echo "sanitize: native leg passed"
   exit 0
 fi

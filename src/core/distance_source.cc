@@ -16,35 +16,29 @@ namespace clustagg {
 
 namespace internal {
 
-/// Per-object label rows, hoisted once at build time so that distance
-/// queries never re-walk Clustering objects or re-resolve the
-/// missing-value policy setup per pair. The store is object-major:
-/// labels[v * m + i] is the label of object v (in source index space)
-/// under input clustering i, so the pair (u, v) compares two contiguous
-/// m-length rows — one cache line each for typical m — instead of
-/// striding by n across m separate columns.
+/// An instance's label columns, hoisted once at build time so that
+/// distance queries never re-walk Clustering objects or re-resolve the
+/// missing-value policy setup per pair. A plain instance (no missing
+/// label under any input clustering, every weight exactly 1.0) keeps
+/// only its bit-packed rows: X_uv is then an integer mismatch count
+/// divided by m, bit-identical to the general accumulation — sums of
+/// 1.0 are exact integers, opinionated == total_weight exactly, so the
+/// kRandomCoin correction adds exactly 0.0 and both policies divide the
+/// same numerator by the same denominator. Every other instance keeps
+/// object-major label rows for the general loop.
 struct DistanceColumns {
   std::size_t n = 0;
   std::size_t m = 0;
+  /// Label rows of a missing/weighted instance, empty for a plain one:
+  /// labels[v * m + i] is the label of object v (in source index space)
+  /// under input clustering i, so the pair (u, v) compares two
+  /// contiguous m-length rows instead of striding by n across m columns.
   std::vector<Clustering::Label> labels;
   std::vector<double> weights;
   double total_weight = 0.0;
   MissingValueOptions missing;
-  /// True when no object has a missing label under any input clustering
-  /// and every input weight is exactly 1.0. Then X_uv reduces to an
-  /// integer mismatch count over the two label rows divided by m, which
-  /// `ColumnDistance` serves from a branch-free auto-vectorizable loop.
-  /// The count path is bit-identical to the general accumulation: sums
-  /// of 1.0 are exact integers, opinionated == total_weight exactly, so
-  /// the kRandomCoin correction adds exactly 0.0 and both policies
-  /// divide the same numerator by the same denominator.
-  bool uniform_no_missing = false;
-  /// Bit-packed label lanes (see core/internal/packed_labels.h), built
-  /// whenever uniform_no_missing holds, every column's alphabet packs
-  /// into <= 16-bit lanes, and the active kernel tier enables packing.
-  /// The packed mismatch count is the same integer the byte loop
-  /// produces, so queries stay bit-identical; nullptr falls back to the
-  /// auto-vectorized byte-compare loop.
+  /// Bit-packed label lanes of a plain instance (see
+  /// core/internal/packed_labels.h), nullptr otherwise.
   std::unique_ptr<PackedLabels> packed;
   /// Hot fields of *packed, flattened so a single point query reads
   /// them straight off this struct (already in cache from the bounds
@@ -57,8 +51,8 @@ struct DistanceColumns {
   std::uint32_t packed_mul_shift = 0;
   bool packed_mul = false;
   /// packed_value[c] = double(float(double(c) / total_weight)) for
-  /// c in [0, m]: the fast path's exact arithmetic precomputed, so the
-  /// query path trades the division for an L1 load.
+  /// c in [0, m]: float(PairwiseDistance)'s exact arithmetic
+  /// precomputed, so the query path trades the division for an L1 load.
   std::vector<double> packed_value;
 };
 
@@ -75,14 +69,14 @@ internal::DistanceColumns MakeColumns(const ClusteringSet& input,
   cols.missing = missing;
   cols.total_weight = input.total_weight();
   cols.weights.resize(cols.m);
-  cols.labels.resize(cols.m * cols.n);
+  std::vector<Clustering::Label> rows(cols.m * cols.n);
   bool any_missing = false;
   bool uniform = true;
   for (std::size_t i = 0; i < cols.m; ++i) {
     cols.weights[i] = input.weight(i);
     if (cols.weights[i] != 1.0) uniform = false;
     const Clustering& c = input.clustering(i);
-    Clustering::Label* out = cols.labels.data() + i;
+    Clustering::Label* out = rows.data() + i;
     for (std::size_t v = 0; v < cols.n; ++v) {
       const Clustering::Label label =
           c.label(subset != nullptr ? (*subset)[v] : v);
@@ -90,41 +84,37 @@ internal::DistanceColumns MakeColumns(const ClusteringSet& input,
       out[v * cols.m] = label;
     }
   }
-  cols.uniform_no_missing = uniform && !any_missing;
-  if (cols.uniform_no_missing &&
-      internal::ActivePackedKernelTier() !=
-          internal::PackedKernelTier::kPortable) {
-    cols.packed =
-        internal::PackLabelRows(cols.labels.data(), cols.n, cols.m);
+  if (!uniform || any_missing) {
+    cols.labels = std::move(rows);
+    return cols;
   }
-  if (cols.packed != nullptr) {
-    cols.packed_value =
-        internal::BuildPackedValueLut(cols.m, cols.total_weight);
-    if (cols.packed->words_per_object == 1) {
-      const internal::PackedClass& cls = cols.packed->classes[0];
-      cols.packed_words = cols.packed->words.data();
-      cols.packed_lsb_mask = cls.lsb_mask;
-      cols.packed_width = cls.width;
-      cols.packed_mul_shift = cols.packed->mul_shift;
-      cols.packed_mul = cols.packed->mul_count_ok;
-    }
+  cols.packed = internal::PackLabelRows(rows.data(), cols.n, cols.m);
+  CLUSTAGG_CHECK(cols.packed != nullptr);
+  cols.packed_value =
+      internal::BuildPackedValueLut(cols.m, cols.total_weight);
+  if (cols.packed->words_per_object == 1) {
+    const internal::PackedClass& cls = cols.packed->classes[0];
+    cols.packed_words = cols.packed->words.data();
+    cols.packed_lsb_mask = cls.lsb_mask;
+    cols.packed_width = cls.width;
+    cols.packed_mul_shift = cols.packed->mul_shift;
+    cols.packed_mul = cols.packed->mul_count_ok;
   }
   return cols;
 }
 
-/// X_uv over the hoisted label rows. The accumulation order (ascending i)
-/// and arithmetic match ClusteringSet::PairwiseDistance exactly so both
-/// backends (and the legacy serial builder) agree to the last bit; the
-/// mismatch-count fast path produces the same bits by the argument on
-/// DistanceColumns::uniform_no_missing.
+/// X_uv over the hoisted columns. The general accumulation order
+/// (ascending i) and arithmetic match ClusteringSet::PairwiseDistance
+/// exactly so both backends (and the legacy serial builder) agree to the
+/// last bit; the packed count produces the same bits by the argument on
+/// DistanceColumns.
 double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
                       std::size_t v) {
   if (u == v) return 0.0;
   if (cols.packed_words != nullptr) {
     // Single packed word per object: XOR + lane-collapse + count +
-    // LUT — same integer as the byte loop, same (precomputed)
-    // division, same bits. All operands live on this struct or in two
-    // word loads, so the query carries no pointer chain.
+    // LUT. All operands live on this struct or in two word loads, so
+    // the query carries no pointer chain.
     const std::uint64_t collapsed = internal::CollapseToLaneLsb(
         cols.packed_words[u] ^ cols.packed_words[v], cols.packed_width,
         cols.packed_lsb_mask);
@@ -134,21 +124,17 @@ double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
             : internal::Popcount64(collapsed);
     return cols.packed_value[mismatches];
   }
+  // [[unlikely]] moves the inlined multi-word loop off the fall-through
+  // path; without it GCC saves six callee-saved registers on entry, so
+  // every single-word query above pays for the multi-word one.
+  if (cols.packed != nullptr) [[unlikely]] {
+    // Multi-word packed layout: per-class SWAR count, then the LUT.
+    return cols.packed_value[internal::CountMismatchesPacked(*cols.packed,
+                                                             u, v)];
+  }
   const std::size_t m = cols.m;
   const Clustering::Label* row_u = cols.labels.data() + u * m;
   const Clustering::Label* row_v = cols.labels.data() + v * m;
-  if (cols.uniform_no_missing) {
-    if (cols.packed != nullptr) {
-      // Multi-word packed layout: per-class SWAR count, then the LUT.
-      return cols.packed_value[internal::CountMismatchesPacked(
-          *cols.packed, u, v)];
-    }
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      mismatches += row_u[i] != row_v[i] ? 1 : 0;
-    }
-    return static_cast<double>(mismatches) / cols.total_weight;
-  }
   double disagreeing = 0.0;
   double opinionated = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
@@ -193,16 +179,17 @@ Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
                     static_cast<std::int64_t>(threads));
   InstrumentedTimer build_timer(run.telemetry(), "build.dense_nanos");
   // Cache-blocked fill: the triangle is carved into row bands, and each
-  // band sweeps its columns in kTileCols-wide tiles so the tile's label
-  // rows (kTileCols * m labels) stay cache-resident while every row of
-  // the band visits them. Bands are disjoint contiguous slices of the
-  // packed store, so every thread writes its own memory and the result is
-  // schedule-independent regardless of how bands land on threads. Each
-  // band charges its row count against the iteration budget (the loop
-  // helper charges one unit per band; the top-up below restores per-row
-  // accounting). A half-filled matrix is unusable, so when the budget
-  // fires mid-fill the build fails with the interrupt status rather than
-  // returning garbage.
+  // band of a missing/weighted instance sweeps its columns in
+  // kTileCols-wide tiles so the tile's label rows (kTileCols * m labels)
+  // stay cache-resident while every row of the band visits them. Bands
+  // are disjoint contiguous slices of the packed store, so every thread
+  // writes its own memory and the result is schedule-independent
+  // regardless of how bands land on threads. Each band charges its row
+  // count against the iteration budget (the loop helper charges one unit
+  // per band; the top-up below restores per-row accounting). A
+  // half-filled matrix is unusable, so when the budget fires mid-fill
+  // the build fails with the interrupt status rather than returning
+  // garbage.
   constexpr std::size_t kTileRows = 64;
   constexpr std::size_t kTileCols = 256;
   // Cost-weighted bands: row u owns n - u - 1 pairs, so fixed-height
@@ -243,8 +230,7 @@ Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
           // store usually fits in L1 — so no column tiling is needed:
           // each matrix row's tail [u+1, n) is filled in one contiguous
           // sweep by the SWAR/AVX2 row kernel (which prefetches the
-          // v-words ahead of itself). Values are bit-identical to the
-          // byte-loop tile fill below.
+          // v-words ahead of itself).
           for (std::size_t u = u0; u < u1; ++u) {
             if (u + 1 >= n) continue;
             internal::PackedMismatchRowFloat(

@@ -154,7 +154,7 @@ class LazyDistanceSource final : public DistanceSource {
   const char* name() const override { return "lazy"; }
 
   /// True when this source carries the bit-packed label representation
-  /// (plain instance, packable alphabets, packing tier active).
+  /// (plain instance: no missing label, unit weights).
   /// Introspection for tests and benches; queries answer bit-identically
   /// either way.
   bool uses_packed_labels() const;

@@ -5,7 +5,8 @@
 // checks the CPU at runtime, so a CLUSTAGG_NATIVE binary still runs
 // correctly on machines without AVX2.
 //
-// Strategy (single-word layouts, the m <= 9 small-alphabet hot case):
+// Strategy (single-word layouts, every lane width 1..32; the m <= 9
+// small-alphabet hot case):
 // four objects' words per iteration — 256-bit load of four consecutive
 // v-words (object-major storage makes them contiguous), XOR against the
 // broadcast u-word, the same SWAR lane collapse as the scalar kernel
@@ -14,7 +15,7 @@
 // the float conversion path (cvtepi32_pd, divpd by the broadcast total
 // weight, cvtpd_ps) performs the identical IEEE operations the scalar
 // path does — double(count) / total_weight rounded once to float — so
-// the AVX2 tier is bit-identical to SWAR and portable.
+// the AVX2 tier is bit-identical to SWAR.
 
 #include "core/internal/packed_labels.h"
 
@@ -45,6 +46,7 @@ inline __m256i Popcount64x4(__m256i x) {
 template <std::uint32_t kWidth>
 inline __m256i Collapse(__m256i x, __m256i lsb_mask) {
   if constexpr (kWidth == 1) return x;
+  if constexpr (kWidth >= 32) x = _mm256_or_si256(x, _mm256_srli_epi64(x, 16));
   if constexpr (kWidth >= 16) x = _mm256_or_si256(x, _mm256_srli_epi64(x, 8));
   if constexpr (kWidth >= 8) x = _mm256_or_si256(x, _mm256_srli_epi64(x, 4));
   if constexpr (kWidth >= 4) x = _mm256_or_si256(x, _mm256_srli_epi64(x, 2));
@@ -115,10 +117,14 @@ void DispatchWidth(const PackedLabels& p, std::size_t u, std::size_t v0,
     case 8:
       RowFillAvx2<8>(p, u, v0, v1, total_weight, out);
       return;
-    default:
+    case 16:
       RowFillAvx2<16>(p, u, v0, v1, total_weight, out);
       return;
+    case 32:
+      RowFillAvx2<32>(p, u, v0, v1, total_weight, out);
+      return;
   }
+  CLUSTAGG_CHECK(false);
 }
 
 }  // namespace

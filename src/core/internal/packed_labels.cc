@@ -2,8 +2,7 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -23,25 +22,6 @@ std::atomic<int> g_tier_override{-1};
 #else
   return false;
 #endif
-}
-
-PackedKernelTier DefaultTier() {
-  return Avx2KernelAvailable() ? PackedKernelTier::kAvx2
-                               : PackedKernelTier::kSwar;
-}
-
-PackedKernelTier TierFromEnvironment() {
-  const char* env = std::getenv("CLUSTAGG_KERNEL");
-  if (env == nullptr || env[0] == '\0') return DefaultTier();
-  if (std::strcmp(env, "portable") == 0) return PackedKernelTier::kPortable;
-  if (std::strcmp(env, "swar") == 0) return PackedKernelTier::kSwar;
-  if (std::strcmp(env, "avx2") == 0) {
-    // Requesting avx2 on a build/CPU without it degrades to swar: the
-    // tier-forcing ctest smoke runs all three values everywhere.
-    return Avx2KernelAvailable() ? PackedKernelTier::kAvx2
-                                 : PackedKernelTier::kSwar;
-  }
-  return DefaultTier();
 }
 
 /// Smallest supported lane width holding values 0..max_value.
@@ -74,14 +54,12 @@ bool Avx2KernelAvailable() {
 PackedKernelTier ActivePackedKernelTier() {
   const int override = g_tier_override.load(std::memory_order_relaxed);
   if (override >= 0) return static_cast<PackedKernelTier>(override);
-  static const PackedKernelTier from_env = TierFromEnvironment();
-  return from_env;
+  return Avx2KernelAvailable() ? PackedKernelTier::kAvx2
+                               : PackedKernelTier::kSwar;
 }
 
 const char* PackedKernelTierName(PackedKernelTier tier) {
   switch (tier) {
-    case PackedKernelTier::kPortable:
-      return "portable";
     case PackedKernelTier::kSwar:
       return "swar";
     case PackedKernelTier::kAvx2:
@@ -107,7 +85,6 @@ void SetPackedKernelTierForTest(const PackedKernelTier* tier) {
 std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
                                             std::size_t n, std::size_t m) {
   if (m == 0) return nullptr;
-  constexpr std::size_t kMaxAlphabet = std::size_t{1} << 16;
 
   // Pass 1: remap each column's labels to 0..k-1 by first appearance
   // (only equality survives packing, so the remap changes nothing) and
@@ -122,7 +99,6 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
       const Clustering::Label label = rows[v * m + i];
       auto [it, inserted] = alphabet.try_emplace(
           label, static_cast<std::uint32_t>(alphabet.size()));
-      if (inserted && alphabet.size() > kMaxAlphabet) return nullptr;
       remapped[v * m + i] = it->second;
       if (it->second > max_id) max_id = it->second;
     }
@@ -134,17 +110,18 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
   // widest class. B can only tie or lose on lanes-per-word, but wins
   // whole words when small classes would each round up to a word of
   // their own (e.g. 1x8-bit + 2x4-bit: A = 2 words, B = 1).
-  constexpr std::uint32_t kWidths[] = {16, 8, 4, 2, 1};
-  std::size_t count_by_width[5] = {0, 0, 0, 0, 0};
+  constexpr std::uint32_t kWidths[] = {32, 16, 8, 4, 2, 1};
+  constexpr std::size_t kNumWidths = std::size(kWidths);
+  std::size_t count_by_width[kNumWidths] = {};
   std::uint32_t max_width = 1;
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t w = 0; w < 5; ++w) {
+    for (std::size_t w = 0; w < kNumWidths; ++w) {
       if (width[i] == kWidths[w]) ++count_by_width[w];
     }
     if (width[i] > max_width) max_width = width[i];
   }
   std::size_t words_a = 0;
-  for (std::size_t w = 0; w < 5; ++w) {
+  for (std::size_t w = 0; w < kNumWidths; ++w) {
     const std::size_t lanes_per_word = 64 / kWidths[w];
     words_a += (count_by_width[w] + lanes_per_word - 1) / lanes_per_word;
   }
@@ -162,7 +139,7 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
   std::vector<std::uint32_t> slot(m);
   std::vector<std::uint32_t> shift(m);
   std::uint32_t next_word = 0;
-  for (std::size_t w = 0; w < 5; ++w) {
+  for (std::size_t w = 0; w < kNumWidths; ++w) {
     const std::uint32_t class_width = uniform ? max_width : kWidths[w];
     std::size_t lanes = 0;
     const std::uint32_t begin_word = next_word;
@@ -217,7 +194,7 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
 
 namespace {
 
-/// Portable bulk fill over the single-word layout: one XOR + collapse +
+/// Bulk fill over the single-word layout: one XOR + collapse +
 /// count per pair, with the v-words prefetched a few cache lines ahead
 /// (the packed array is object-major, so the walk is sequential). The
 /// mismatch count indexes the precomputed value LUT, so the hot loop
@@ -280,9 +257,10 @@ void RowFillGeneral(const PackedLabels& p, std::size_t u, std::size_t v0,
 std::vector<double> BuildPackedValueLut(std::size_t m, double total_weight) {
   std::vector<double> lut(m + 1);
   for (std::size_t c = 0; c <= m; ++c) {
-    // Exactly the scalar fast path's arithmetic, precomputed: the float
-    // rounding step is what keeps every tier bit-identical, and storing
-    // the result as double round-trips losslessly for both consumers.
+    // Exactly float(PairwiseDistance)'s arithmetic on a plain instance,
+    // precomputed: the float rounding step is what keeps every tier
+    // bit-identical, and storing the result as double round-trips
+    // losslessly for both consumers.
     lut[c] = static_cast<double>(
         static_cast<float>(static_cast<double>(c) / total_weight));
   }

@@ -14,35 +14,33 @@
 // words: one word (m <= 9, small alphabets) instead of 36+ bytes per
 // object, and ~4 ALU ops per 16 lanes instead of one compare each.
 //
-// The count is exactly the integer the byte-compare loop produces, so
-// every downstream float (count / total_weight rounded through float)
-// is bit-identical to the general path — the packed kernel is a pure
-// speedup, invisible to every backend-equivalence property test.
+// The count is exactly the integer ClusteringSet::PairwiseDistance sums
+// over the unpacked labels, so every downstream float (count /
+// total_weight rounded through float) is bit-identical to it — the
+// packed kernel is a pure speedup, invisible to every
+// backend-equivalence property test.
 //
 // Layout. Each column i gets a lane width: the smallest power of two in
-// {1, 2, 4, 8, 16} holding its remapped alphabet. Columns are grouped
-// by width into *classes*; a class of width B packs 64/B lanes per word
-// into its own run of words (lanes never straddle words or mix widths,
-// keeping the SWAR collapse mask uniform per word). When rounding every
-// column up to the widest class's width would use no more words, the
-// builder does that instead (single class, simpler hot loop). Objects
-// are word-major: words[v * words_per_object + slot].
+// {1, 2, 4, 8, 16, 32} holding its remapped alphabet. Columns are
+// grouped by width into *classes*; a class of width B packs 64/B lanes
+// per word into its own run of words (lanes never straddle words or mix
+// widths, keeping the SWAR collapse mask uniform per word). When
+// rounding every column up to the widest class's width would use no
+// more words, the builder does that instead (single class, simpler hot
+// loop). Objects are word-major: words[v * words_per_object + slot].
 //
-// Eligibility. Packing fails (returns nullptr) only when some column
-// has more than 2^16 distinct labels (lane width would exceed 16 bits)
-// or m == 0; callers then keep the general byte-compare path. Whether
-// the *mismatch-count semantics* apply (no missing labels, unit
-// weights) is the caller's check — SignatureIndex packs rows with
-// missing sentinels too, because it only needs equality of whole rows.
+// Eligibility. A 32-bit lane holds any int32 column, so packing fails
+// (returns nullptr) only for m == 0, which ClusteringSet::Create already
+// rejects. Whether the *mismatch-count semantics* apply (no missing
+// labels, unit weights) is the caller's check — SignatureIndex packs
+// rows with missing sentinels too, because it only needs equality of
+// whole rows.
 //
-// Dispatch. Three tiers, selected once per process from the
-// CLUSTAGG_KERNEL environment variable (portable | swar | avx2) with
-// CPU detection as the default: kPortable disables packing entirely
-// (the pre-packing byte loops), kSwar uses these uint64_t kernels, and
-// kAvx2 additionally routes bulk row fills through the AVX2 kernel
-// compiled under CLUSTAGG_NATIVE (runtime-checked, so binaries stay
-// safe on CPUs without AVX2). See docs/performance.md ("Packed
-// labels").
+// Dispatch. Two tiers, detected once per process from the CPU: kSwar
+// runs these uint64_t kernels, and kAvx2 additionally routes bulk
+// single-word row fills through the AVX2 kernel compiled under
+// CLUSTAGG_NATIVE (runtime-checked, so binaries stay safe on CPUs
+// without AVX2). See docs/performance.md ("Packed labels").
 
 #include <cstddef>
 #include <cstdint>
@@ -53,20 +51,19 @@
 
 namespace clustagg::internal {
 
-/// Kernel tier resolved from CLUSTAGG_KERNEL + CPU detection.
-enum class PackedKernelTier { kPortable = 0, kSwar = 1, kAvx2 = 2 };
+/// Kernel tier resolved from CPU detection.
+enum class PackedKernelTier { kSwar = 0, kAvx2 = 1 };
 
-/// The active tier (cached; first call reads the environment). Packing
-/// decisions are made at source-build time, so changing the override
-/// mid-process only affects sources built afterwards.
+/// The active tier: kAvx2 when the AVX2 kernel is compiled in and the
+/// CPU has it, kSwar otherwise, unless a test override is in force.
 PackedKernelTier ActivePackedKernelTier();
 
-/// Stable lowercase tier name ("portable" / "swar" / "avx2").
+/// Stable lowercase tier name ("swar" / "avx2").
 const char* PackedKernelTierName(PackedKernelTier tier);
 
 /// Test/bench hook: force a tier (kAvx2 silently degrades to kSwar when
 /// the AVX2 kernel is not compiled in or the CPU lacks it). Pass
-/// nullptr to restore the environment/CPU default.
+/// nullptr to restore the CPU default.
 void SetPackedKernelTierForTest(const PackedKernelTier* tier);
 
 /// True when the AVX2 row kernel is compiled in (CLUSTAGG_NATIVE) and
@@ -75,7 +72,7 @@ bool Avx2KernelAvailable();
 
 /// One run of same-width words in every object's packed row.
 struct PackedClass {
-  /// Lane width in bits: 1, 2, 4, 8, or 16.
+  /// Lane width in bits: 1, 2, 4, 8, 16, or 32.
   std::uint32_t width = 0;
   /// Word-slot range [begin_word, end_word) inside each object's row.
   std::uint32_t begin_word = 0;
@@ -110,8 +107,7 @@ struct PackedLabels {
 /// Packs object-major label rows (rows[v * m + i] = label of object v
 /// under clustering i). Labels are remapped per column by first
 /// appearance, so any int32 labels — including the kMissing sentinel —
-/// pack as long as each column has at most 2^16 distinct values.
-/// Returns nullptr when ineligible (alphabet too wide, or m == 0).
+/// pack. Returns nullptr only when m == 0.
 std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
                                             std::size_t n, std::size_t m);
 
@@ -146,7 +142,10 @@ inline std::uint64_t CollapseToLaneLsb(std::uint64_t x, std::uint32_t width,
       x |= x >> 2;
       x |= x >> 1;
       return x & lsb_mask;
-    default:  // 16
+    default:  // 16 or 32
+      // Kept out of the case list: a fifth case label turns the switch
+      // into a jump table, which measured slower in the multi-word loop.
+      if (width == 32) x |= x >> 16;
       x |= x >> 8;
       x |= x >> 4;
       x |= x >> 2;
@@ -155,8 +154,8 @@ inline std::uint64_t CollapseToLaneLsb(std::uint64_t x, std::uint32_t width,
   }
 }
 
-/// Number of clusterings on which u and v disagree — exactly the
-/// integer the byte-compare loop over the unpacked rows produces.
+/// Number of clusterings on which u and v disagree, counted over the
+/// packed rows.
 inline std::size_t CountMismatchesPacked(const PackedLabels& p,
                                          std::size_t u, std::size_t v) {
   const std::uint64_t* a = p.row(u);
@@ -206,19 +205,20 @@ inline std::uint64_t HashPackedRow(const PackedLabels& p, std::size_t v) {
 
 /// Precomputed count -> value table: lut[c] =
 /// double(float(double(c) / total_weight)) for c in [0, m]. The scalar
-/// row kernels index this instead of dividing per pair; the entries are
-/// computed with the exact arithmetic of the scalar fast path, so the
-/// LUT changes nothing but speed.
+/// row kernels index this instead of dividing per pair; on a plain
+/// instance the entries are exactly float(ClusteringSet::
+/// PairwiseDistance) for a pair with c mismatches, so the LUT changes
+/// nothing but speed.
 std::vector<double> BuildPackedValueLut(std::size_t m, double total_weight);
 
 /// Bulk row fill for the dense tiled build: out[v - v0] =
 /// float(double(count(u, v)) / total_weight) for v in [v0, v1) — the
-/// exact arithmetic of the scalar fast path, so the filled matrix is
-/// bit-identical whichever tier runs. value_lut must be a
+/// LUT's arithmetic, so the filled matrix is bit-identical whichever
+/// tier runs. value_lut must be a
 /// BuildPackedValueLut(p.m, total_weight) table. Routes through the
 /// AVX2 kernel (which divides in-register instead of using the LUT)
 /// when the active tier is kAvx2 and the layout is single-word;
-/// otherwise the portable SWAR loop (with explicit prefetch) runs.
+/// otherwise the SWAR loop (with explicit prefetch) runs.
 void PackedMismatchRowFloat(const PackedLabels& p, std::size_t u,
                             std::size_t v0, std::size_t v1,
                             double total_weight, const double* value_lut,

@@ -10,21 +10,6 @@
 
 namespace clustagg {
 
-namespace {
-
-/// FNV-1a over an object's m-label row. Collisions are resolved by full
-/// row comparison, so the hash only affects speed, never the grouping.
-std::uint64_t HashRow(const Clustering::Label* row, std::size_t m) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < m; ++i) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(row[i]));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
 SignatureIndex SignatureIndex::Build(const ClusteringSet& input) {
   return BuildImpl(input, nullptr);
 }
@@ -41,8 +26,7 @@ SignatureIndex SignatureIndex::BuildImpl(
       subset != nullptr ? subset->size() : input.num_objects();
   const std::size_t m = input.num_clusterings();
 
-  // Object-major label rows, gathered once so hashing and collision
-  // checks touch contiguous memory.
+  // Object-major label rows, the packer's input.
   std::vector<Clustering::Label> rows(n * m);
   for (std::size_t i = 0; i < m; ++i) {
     const Clustering& c = input.clustering(i);
@@ -54,44 +38,27 @@ SignatureIndex SignatureIndex::BuildImpl(
 
   // Packed signature rows: only whole-row *equality* matters here, so
   // the kMissing sentinel packs like any other symbol and the packed
-  // words can stand in for the rows in both hashing and the collision
-  // check (the per-column remap is injective). Grouping and signature
-  // numbering are identical either way — the packed path is ~m fewer
-  // word ops per object for hashing and per candidate for comparison.
-  std::unique_ptr<internal::PackedLabels> packed;
-  if (internal::ActivePackedKernelTier() !=
-      internal::PackedKernelTier::kPortable) {
-    packed = internal::PackLabelRows(rows.data(), n, m);
-  }
+  // words stand in for the rows in both hashing and the collision check
+  // (the per-column remap is injective). Packing fails only for m == 0,
+  // which ClusteringSet::Create rejects.
+  const std::unique_ptr<internal::PackedLabels> packed =
+      internal::PackLabelRows(rows.data(), n, m);
+  CLUSTAGG_CHECK(packed != nullptr);
 
   SignatureIndex index;
   index.signature_of_.resize(n);
   // hash -> signature ids sharing it. Objects are scanned in ascending
   // order, so signature ids follow first appearance deterministically.
+  // Hash quality only affects bucket balance, never the grouping.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
   buckets.reserve(n);
   for (std::size_t v = 0; v < n; ++v) {
-    const Clustering::Label* row = rows.data() + v * m;
     std::vector<std::size_t>& bucket =
-        buckets[packed != nullptr ? internal::HashPackedRow(*packed, v)
-                                  : HashRow(row, m)];
+        buckets[internal::HashPackedRow(*packed, v)];
     std::size_t signature = static_cast<std::size_t>(-1);
     for (std::size_t candidate : bucket) {
-      const std::size_t rep = index.rep_subset_index_[candidate];
-      bool equal;
-      if (packed != nullptr) {
-        equal = internal::PackedRowsEqual(*packed, v, rep);
-      } else {
-        const Clustering::Label* rep_row = rows.data() + rep * m;
-        equal = true;
-        for (std::size_t i = 0; i < m; ++i) {
-          if (row[i] != rep_row[i]) {
-            equal = false;
-            break;
-          }
-        }
-      }
-      if (equal) {
+      if (internal::PackedRowsEqual(*packed, v,
+                                    index.rep_subset_index_[candidate])) {
         signature = candidate;
         break;
       }

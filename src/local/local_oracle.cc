@@ -209,8 +209,7 @@ MembershipAnswer LocalMembershipOracle::QuerySim(
   MembershipAnswer answer;
   QueryStats stats;
   std::size_t owner = sim_v;
-  const std::uint64_t start_nanos =
-      telemetry != nullptr ? telemetry->clock().NowNanos() : 0;
+  InstrumentedTimer query_timer(telemetry, "local.query_nanos");
   answer.outcome = ResolveOwner(sim_v, run, &stats, &owner);
   answer.pivot_inspections = stats.inspections;
   answer.chain_depth = stats.chain_depth;
@@ -234,10 +233,6 @@ MembershipAnswer LocalMembershipOracle::QuerySim(
                  stats.distance_queries);
   TelemetryCount(telemetry, "local.memo_hits", stats.memo_hits);
   TelemetryObserve(telemetry, "local.chain_depth", stats.chain_depth);
-  if (telemetry != nullptr) {
-    telemetry->histogram("local.query_nanos")
-        ->Observe(telemetry->clock().NowNanos() - start_nanos);
-  }
   return answer;
 }
 

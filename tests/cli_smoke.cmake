@@ -210,3 +210,23 @@ foreach(pair "best;BESTCLUSTERING" "balls;BALLS"
                         "${rc}: ${err}")
   endif()
 endforeach()
+
+# The input sources are exclusive: the CSV-only flags need --csv, and
+# --csv takes neither label files nor --weights. Each combination exits
+# 2 instead of silently ignoring a flag.
+foreach(bad "--class-column;class" "--delimiter;|" "--no-header")
+  execute_process(COMMAND ${CLI} aggregate ${FILES} ${bad}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "aggregate FILES ${bad} should exit 2, got ${rc}")
+  endif()
+endforeach()
+foreach(extra "${WORK}/c1.labels" "--weights;1,1,1")
+  execute_process(COMMAND ${CLI} aggregate --csv ${WORK}/votes.csv
+                  --class-column class ${extra}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "aggregate --csv ... ${extra} should exit 2, "
+                        "got ${rc}")
+  endif()
+endforeach()

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -404,10 +406,9 @@ TEST(DistanceSourceTest, LegacyBuildersStillMatchPairwise) {
 
 // ----------------------------------------------- packed kernel tiers
 
-/// Forces a packed-kernel tier for the enclosing scope; the default
-/// (environment/CPU) selection is restored on destruction. Tier changes
-/// only affect sources built afterwards, so each guarded block builds
-/// its own sources.
+/// Forces a packed-kernel tier for the enclosing scope; the CPU default
+/// is restored on destruction. Tier changes only affect sources built
+/// afterwards, so each guarded block builds its own sources.
 class TierOverride {
  public:
   explicit TierOverride(internal::PackedKernelTier tier) {
@@ -417,34 +418,59 @@ class TierOverride {
 };
 
 std::vector<internal::PackedKernelTier> AllTiers() {
-  return {internal::PackedKernelTier::kPortable,
-          internal::PackedKernelTier::kSwar,
+  return {internal::PackedKernelTier::kSwar,
           internal::PackedKernelTier::kAvx2};
+}
+
+/// The independent reference every tier must reproduce bit for bit.
+double ReferenceDistance(const ClusteringSet& input, std::size_t u,
+                         std::size_t v) {
+  return static_cast<float>(input.PairwiseDistance(u, v));
+}
+
+/// Signature ids by first appearance of each whole label row, the
+/// grouping SignatureIndex must reproduce.
+std::vector<std::size_t> ReferenceGrouping(const ClusteringSet& input) {
+  std::map<std::vector<Clustering::Label>, std::size_t> ids;
+  std::vector<std::size_t> grouping(input.num_objects());
+  for (std::size_t v = 0; v < input.num_objects(); ++v) {
+    std::vector<Clustering::Label> row;
+    for (const Clustering& c : input.clusterings()) row.push_back(c.label(v));
+    grouping[v] = ids.try_emplace(std::move(row), ids.size()).first->second;
+  }
+  return grouping;
+}
+
+std::vector<std::size_t> SignatureGrouping(const ClusteringSet& input) {
+  const SignatureIndex index = SignatureIndex::Build(input);
+  std::vector<std::size_t> grouping(input.num_objects());
+  for (std::size_t v = 0; v < grouping.size(); ++v) {
+    grouping[v] = index.signature_of(v);
+  }
+  return grouping;
 }
 
 TEST(PackedKernelTest, AllTiersBitIdenticalOnBothBackends) {
   // Same instance, every tier, both backends: every distance must be
-  // the same bits (kAvx2 silently degrades to kSwar on machines
-  // without the kernel — still a distinct dispatch decision to pin).
+  // float(PairwiseDistance) to the bit (kAvx2 silently degrades to
+  // kSwar on machines without the kernel — still a distinct dispatch
+  // decision to pin).
   const ClusteringSet input = RandomInput(48, 9, 8, 91);
-  std::vector<std::vector<double>> per_tier;
   for (internal::PackedKernelTier tier : AllTiers()) {
     TierOverride guard(tier);
     const BackendPair pair = BuildBoth(input, {});
-    std::vector<double> flat;
     for (std::size_t u = 0; u < 48; ++u) {
       for (std::size_t v = 0; v < 48; ++v) {
-        const double d = pair.lazy.distance(u, v);
-        EXPECT_EQ(pair.dense.distance(u, v), d)
+        const double expected = ReferenceDistance(input, u, v);
+        EXPECT_EQ(pair.dense.distance(u, v), expected)
             << "tier=" << internal::PackedKernelTierName(tier) << " u="
             << u << " v=" << v;
-        flat.push_back(d);
+        EXPECT_EQ(pair.lazy.distance(u, v), expected)
+            << "tier=" << internal::PackedKernelTierName(tier) << " u="
+            << u << " v=" << v;
       }
     }
-    per_tier.push_back(std::move(flat));
   }
-  EXPECT_EQ(per_tier[0], per_tier[1]);
-  EXPECT_EQ(per_tier[0], per_tier[2]);
 }
 
 TEST(PackedKernelTest, PackingEligibilityFollowsInstanceShape) {
@@ -461,18 +487,11 @@ TEST(PackedKernelTest, PackingEligibilityFollowsInstanceShape) {
   EXPECT_FALSE(packed_of(RandomInput(20, 5, 4, 3, 0.0, true)));
 }
 
-TEST(PackedKernelTest, PortableTierNeverPacks) {
-  TierOverride guard(internal::PackedKernelTier::kPortable);
-  Result<std::shared_ptr<const LazyDistanceSource>> lazy =
-      LazyDistanceSource::Build(RandomInput(20, 5, 4, 3), {});
-  ASSERT_TRUE(lazy.ok());
-  EXPECT_FALSE((*lazy)->uses_packed_labels());
-}
-
 TEST(PackedKernelTest, AgreementRowMatchesThresholdedDistances) {
   // Dense (strided matrix walk), lazy packed (integer threshold), and
-  // lazy unpacked (float compare) must all agree with the definition:
-  // agree[v] iff distance(u, v) < 0.5, and u agrees with itself.
+  // lazy general (missing labels, float compare) must all agree with
+  // the definition: agree[v] iff float(PairwiseDistance(u, v)) < 0.5,
+  // and u agrees with itself.
   for (double missing_rate : {0.0, 0.15}) {
     const ClusteringSet input = RandomInput(33, 6, 5, 17, missing_rate);
     for (internal::PackedKernelTier tier : AllTiers()) {
@@ -484,7 +503,7 @@ TEST(PackedKernelTest, AgreementRowMatchesThresholdedDistances) {
         for (std::size_t u = 0; u < 33; ++u) {
           instance->source()->AgreementRow(u, agree);
           for (std::size_t v = 0; v < 33; ++v) {
-            const bool expected = instance->distance(u, v) < 0.5;
+            const bool expected = ReferenceDistance(input, u, v) < 0.5;
             EXPECT_EQ(agree[v] != 0, expected)
                 << instance->backend_name() << " tier="
                 << internal::PackedKernelTierName(tier) << " u=" << u
@@ -497,20 +516,95 @@ TEST(PackedKernelTest, AgreementRowMatchesThresholdedDistances) {
 }
 
 TEST(PackedKernelTest, SignatureGroupingTierInvariant) {
-  // SignatureIndex hashes packed rows when a tier enables packing; the
-  // grouping (including kMissing treated as an ordinary symbol) must
-  // not depend on the tier.
+  // SignatureIndex hashes and compares packed rows; the grouping
+  // (including kMissing treated as an ordinary symbol) is the
+  // first-appearance grouping of whole label rows under every tier.
   const ClusteringSet input = RandomInput(40, 4, 3, 29, 0.2);
-  std::vector<std::vector<std::size_t>> groupings;
   for (internal::PackedKernelTier tier : AllTiers()) {
     TierOverride guard(tier);
-    const SignatureIndex index = SignatureIndex::Build(input);
-    std::vector<std::size_t> sig(40);
-    for (std::size_t v = 0; v < 40; ++v) sig[v] = index.signature_of(v);
-    groupings.push_back(std::move(sig));
+    EXPECT_EQ(SignatureGrouping(input), ReferenceGrouping(input));
   }
-  EXPECT_EQ(groupings[0], groupings[1]);
-  EXPECT_EQ(groupings[0], groupings[2]);
+}
+
+TEST(PackedKernelTest, WideAlphabetPacksAtWidth32) {
+  // One column with 2^16 + 1 distinct labels needs a 32-bit lane. Paired
+  // with one narrow column the instance rounds up to a single word of
+  // two 32-bit lanes; with several narrow columns it keeps a 32-bit
+  // class beside a 2-bit one (two words). Both must answer
+  // float(PairwiseDistance) bit for bit on every kernel entry point.
+  // Trailing objects repeat earlier rows so SignatureIndex has groups
+  // to find. No dense matrix is built at this n.
+  const std::size_t wide = (std::size_t{1} << 16) + 1;
+  const std::size_t n = wide + 512;
+  for (const std::size_t narrow_columns : {1u, 5u}) {
+    SCOPED_TRACE("narrow columns = " + std::to_string(narrow_columns));
+    Rng rng(narrow_columns);
+    std::vector<std::vector<Clustering::Label>> columns(
+        1 + narrow_columns, std::vector<Clustering::Label>(n));
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t source = v < wide ? v : (v * 7919) % wide;
+      columns[0][v] = static_cast<Clustering::Label>(3 * source);
+      for (std::size_t i = 1; i < columns.size(); ++i) {
+        columns[i][v] = v < wide ? static_cast<Clustering::Label>(
+                                       rng.NextBounded(3))
+                                 : columns[i][source];
+      }
+    }
+    std::vector<Clustering> clusterings;
+    for (auto& labels : columns) clusterings.emplace_back(std::move(labels));
+    const ClusteringSet input = *ClusteringSet::Create(std::move(clusterings));
+    const std::size_t m = input.num_clusterings();
+
+    std::vector<Clustering::Label> rows(n * m);
+    for (std::size_t v = 0; v < n; ++v) {
+      for (std::size_t i = 0; i < m; ++i) {
+        rows[v * m + i] = input.clustering(i).label(v);
+      }
+    }
+    const std::unique_ptr<internal::PackedLabels> packed =
+        internal::PackLabelRows(rows.data(), n, m);
+    ASSERT_NE(packed, nullptr);
+    EXPECT_EQ(packed->classes[0].width, 32u);
+    EXPECT_EQ(packed->words_per_object, narrow_columns == 1 ? 1u : 2u);
+    const std::vector<double> lut =
+        internal::BuildPackedValueLut(m, input.total_weight());
+
+    for (internal::PackedKernelTier tier : AllTiers()) {
+      SCOPED_TRACE(internal::PackedKernelTierName(tier));
+      TierOverride guard(tier);
+      Result<std::shared_ptr<const LazyDistanceSource>> lazy =
+          LazyDistanceSource::Build(input, {});
+      ASSERT_TRUE(lazy.ok());
+      EXPECT_TRUE((*lazy)->uses_packed_labels());
+      std::vector<double> row(n);
+      std::vector<char> agree(n);
+      for (const std::size_t u : {std::size_t{0}, std::size_t{1},
+                                  wide - 1, wide, n - 1}) {
+        (*lazy)->FillRow(u, row);
+        (*lazy)->AgreementRow(u, agree);
+        std::size_t mismatches = 0;
+        for (std::size_t v = 0; v < n; ++v) {
+          const double expected = ReferenceDistance(input, u, v);
+          mismatches += (*lazy)->distance(u, v) != expected;
+          mismatches += row[v] != expected;
+          mismatches += (agree[v] != 0) != (expected < 0.5);
+        }
+        EXPECT_EQ(mismatches, 0u) << "u=" << u;
+      }
+      const std::size_t u = 17;
+      const std::size_t v0 = wide - 1000;
+      std::vector<float> slice(n - v0);
+      internal::PackedMismatchRowFloat(*packed, u, v0, n,
+                                       input.total_weight(), lut.data(),
+                                       slice.data());
+      std::size_t mismatches = 0;
+      for (std::size_t v = v0; v < n; ++v) {
+        mismatches += slice[v - v0] != ReferenceDistance(input, u, v);
+      }
+      EXPECT_EQ(mismatches, 0u);
+      EXPECT_EQ(SignatureGrouping(input), ReferenceGrouping(input));
+    }
+  }
 }
 
 TEST(SymmetricMatrixCreateTest, SucceedsForNormalSizes) {

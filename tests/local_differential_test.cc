@@ -230,8 +230,7 @@ TEST(LocalDifferentialTest, BackendsAndKernelTiersAgree) {
       materialized.push_back(*std::move(labels));
     }
     for (PackedKernelTier tier :
-         {PackedKernelTier::kPortable, PackedKernelTier::kSwar,
-          PackedKernelTier::kAvx2}) {
+         {PackedKernelTier::kSwar, PackedKernelTier::kAvx2}) {
       SCOPED_TRACE(internal::PackedKernelTierName(tier));
       TierOverride guard(tier);
       Result<LocalMembershipOracle> oracle =

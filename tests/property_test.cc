@@ -422,6 +422,20 @@ class TierOverride {
   ~TierOverride() { internal::SetPackedKernelTierForTest(nullptr); }
 };
 
+/// All pairwise distances float(PairwiseDistance(u, v)): the independent
+/// reference every kernel tier must reproduce bit for bit.
+std::vector<double> ReferenceDistances(const ClusteringSet& input) {
+  const std::size_t n = input.num_objects();
+  std::vector<double> flat;
+  flat.reserve(n * n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      flat.push_back(static_cast<float>(input.PairwiseDistance(u, v)));
+    }
+  }
+  return flat;
+}
+
 /// All pairwise lazy distances of `input` computed under `tier`, via
 /// both the point-query path and FillRow (which must agree).
 std::vector<double> LazyDistancesAtTier(const ClusteringSet& input,
@@ -469,8 +483,8 @@ ClusteringSet AlphabetInput(std::size_t n,
 
 // (p1) Packed axiom: across alphabet sizes spanning every lane width
 // (binary through >16 labels) and every m in 1..12, the SWAR and AVX2
-// tiers answer bit-identically to the portable byte loop, on the point
-// query and on FillRow.
+// tiers answer float(PairwiseDistance) bit for bit, on the point query
+// and on FillRow.
 TEST(PackedKernelProperty, BitIdenticalAcrossAlphabetAndWidthSweep) {
   const std::size_t n = 48;
   Rng rng(4242);
@@ -480,12 +494,11 @@ TEST(PackedKernelProperty, BitIdenticalAcrossAlphabetAndWidthSweep) {
                    ", m = " + std::to_string(m));
       const ClusteringSet input = AlphabetInput(
           n, std::vector<std::size_t>(m, alphabet), &rng);
-      const std::vector<double> portable = LazyDistancesAtTier(
-          input, internal::PackedKernelTier::kPortable);
-      EXPECT_EQ(portable, LazyDistancesAtTier(
-                              input, internal::PackedKernelTier::kSwar));
-      EXPECT_EQ(portable, LazyDistancesAtTier(
-                              input, internal::PackedKernelTier::kAvx2));
+      const std::vector<double> reference = ReferenceDistances(input);
+      EXPECT_EQ(reference, LazyDistancesAtTier(
+                               input, internal::PackedKernelTier::kSwar));
+      EXPECT_EQ(reference, LazyDistancesAtTier(
+                               input, internal::PackedKernelTier::kAvx2));
     }
   }
 }
@@ -507,18 +520,17 @@ TEST(PackedKernelProperty, MixedWidthBoundaryFuzz) {
           sizeof(boundary_sizes) / sizeof(boundary_sizes[0]))];
     }
     const ClusteringSet input = AlphabetInput(n, alphabets, &rng);
-    const std::vector<double> portable = LazyDistancesAtTier(
-        input, internal::PackedKernelTier::kPortable);
-    EXPECT_EQ(portable, LazyDistancesAtTier(
-                            input, internal::PackedKernelTier::kSwar));
-    EXPECT_EQ(portable, LazyDistancesAtTier(
-                            input, internal::PackedKernelTier::kAvx2));
+    const std::vector<double> reference = ReferenceDistances(input);
+    EXPECT_EQ(reference, LazyDistancesAtTier(
+                             input, internal::PackedKernelTier::kSwar));
+    EXPECT_EQ(reference, LazyDistancesAtTier(
+                             input, internal::PackedKernelTier::kAvx2));
   }
 }
 
 // (p3) Eligibility: instances with missing labels or non-unit weights
-// must fall back to the byte loop automatically — and still answer
-// identically across tiers (the tiers then share one code path).
+// must fall back to the general loop automatically — and still answer
+// float(PairwiseDistance) bit for bit.
 TEST(PackedKernelProperty, MissingAndWeightedInstancesFallBack) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
@@ -550,9 +562,7 @@ TEST(PackedKernelProperty, MissingAndWeightedInstancesFallBack) {
           ASSERT_TRUE(lazy.ok());
           EXPECT_FALSE((*lazy)->uses_packed_labels());
         }
-        const std::vector<double> portable = LazyDistancesAtTier(
-            input, internal::PackedKernelTier::kPortable);
-        EXPECT_EQ(portable,
+        EXPECT_EQ(ReferenceDistances(input),
                   LazyDistancesAtTier(input,
                                       internal::PackedKernelTier::kSwar));
       }
@@ -560,8 +570,8 @@ TEST(PackedKernelProperty, MissingAndWeightedInstancesFallBack) {
   }
 }
 
-// (p4) Plain instances pack; the packed decision is observable and
-// consistent with the tier.
+// (p4) Plain instances pack under every tier; the packed decision is
+// observable.
 TEST(PackedKernelProperty, PlainInstancesPackUnderPackingTiers) {
   Rng rng(7);
   const ClusteringSet input = AlphabetInput(30, {4, 4, 9}, &rng);
@@ -574,17 +584,13 @@ TEST(PackedKernelProperty, PlainInstancesPackUnderPackingTiers) {
     ASSERT_TRUE(lazy.ok());
     EXPECT_TRUE((*lazy)->uses_packed_labels());
   }
-  TierOverride guard(internal::PackedKernelTier::kPortable);
-  Result<std::shared_ptr<const LazyDistanceSource>> lazy =
-      LazyDistanceSource::Build(input, {});
-  ASSERT_TRUE(lazy.ok());
-  EXPECT_FALSE((*lazy)->uses_packed_labels());
 }
 
-// (p5) PackLabelRows eligibility boundaries: m = 0 and alphabets wider
-// than 16-bit lanes are ineligible; exactly 2^16 distinct labels still
-// packs (width 16). The 2^16 + 1 case needs that many objects, so the
-// rows are synthesized directly rather than through a ClusteringSet.
+// (p5) PackLabelRows eligibility boundaries: only m = 0 is ineligible.
+// Exactly 2^16 distinct labels packs at width 16, and one more label
+// moves the column to a 32-bit lane. The 2^16 + 1 case needs that many
+// objects, so the rows are synthesized directly rather than through a
+// ClusteringSet.
 TEST(PackedKernelProperty, PackEligibilityBoundaries) {
   EXPECT_EQ(internal::PackLabelRows(nullptr, 0, 0), nullptr);
 
@@ -593,20 +599,21 @@ TEST(PackedKernelProperty, PackEligibilityBoundaries) {
   for (std::size_t v = 0; v < rows.size(); ++v) {
     rows[v] = static_cast<Clustering::Label>(v);
   }
-  // n = 2^16 objects, all distinct: exactly at the lane-width limit.
-  std::unique_ptr<internal::PackedLabels> packed =
-      internal::PackLabelRows(rows.data(), at_limit, 1);
-  ASSERT_NE(packed, nullptr);
-  ASSERT_EQ(packed->classes.size(), 1u);
-  EXPECT_EQ(packed->classes[0].width, 16u);
-  // One more distinct label: over the limit, packing refuses.
-  EXPECT_EQ(internal::PackLabelRows(rows.data(), at_limit + 1, 1),
-            nullptr);
+  for (const std::size_t n : {at_limit, at_limit + 1}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    std::unique_ptr<internal::PackedLabels> packed =
+        internal::PackLabelRows(rows.data(), n, 1);
+    ASSERT_NE(packed, nullptr);
+    ASSERT_EQ(packed->classes.size(), 1u);
+    EXPECT_EQ(packed->classes[0].width, n == at_limit ? 16u : 32u);
+    EXPECT_EQ(internal::CountMismatchesPacked(*packed, 0, n - 1), 1u);
+    EXPECT_EQ(internal::CountMismatchesPacked(*packed, n - 1, n - 1), 0u);
+  }
 }
 
-// (p6) The packed mismatch count is the byte loop's integer for every
-// pair, verified directly against a reference count over the original
-// labels (not just through the divided distances).
+// (p6) The packed mismatch count is the plain mismatch integer for
+// every pair, verified directly against a reference count over the
+// original labels (not just through the divided distances).
 TEST(PackedKernelProperty, PackedCountMatchesReferenceCount) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
@@ -747,8 +754,7 @@ TEST(LocalOracleProperty, SeedDeterminismAcrossBackendsAndTiers) {
     EXPECT_EQ(*dense_labels, global);
 
     for (internal::PackedKernelTier tier :
-         {internal::PackedKernelTier::kPortable,
-          internal::PackedKernelTier::kSwar,
+         {internal::PackedKernelTier::kSwar,
           internal::PackedKernelTier::kAvx2}) {
       SCOPED_TRACE(internal::PackedKernelTierName(tier));
       TierOverride guard(tier);

@@ -345,8 +345,20 @@ extern "C" void HandleShutdownSignal(int sig) { g_shutdown_signal = sig; }
 /// Assembles the input ClusteringSet the way every instance-consuming
 /// subcommand (aggregate, query) documents it: positional label files,
 /// a categorical CSV with --csv/--class-column, or label files weighted
-/// by --weights.
+/// by --weights. The sources are exclusive, and a CSV-only flag without
+/// --csv is an error rather than silently ignored.
 Result<ClusteringSet> ReadInputSet(const Flags& flags) {
+  if (!flags.Has("csv")) {
+    for (std::string_view name : {"class-column", "delimiter", "no-header"}) {
+      if (flags.Has(name)) {
+        return Status::InvalidArgument("--" + std::string(name) +
+                                       " applies only to --csv input");
+      }
+    }
+  } else if (!flags.positional.empty() || flags.Has("weights")) {
+    return Status::InvalidArgument(
+        "--csv takes no label files and no --weights");
+  }
   const std::string delimiter = flags.Get("delimiter", ",");
   if (delimiter.size() != 1) {
     return Status::InvalidArgument("--delimiter expects one character, "

@@ -77,17 +77,22 @@ class JsonObject {
     return SetRaw(key, quoted);
   }
   JsonObject& Set(const std::string& key, const JsonObject& nested) {
-    return SetRaw(key, nested.ToString(2));
+    return SetRaw(key, nested.ToString());
   }
 
-  std::string ToString(int indent = 0) const {
-    const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
+  /// Two-space indented; a nested object's lines shift with the field
+  /// that holds it, so every depth renders aligned.
+  std::string ToString() const {
     std::string out = "{";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
       out += i == 0 ? "\n" : ",\n";
-      out += pad + "\"" + fields_[i].first + "\": " + fields_[i].second;
+      out += "  \"" + fields_[i].first + "\": ";
+      for (char c : fields_[i].second) {
+        out += c;
+        if (c == '\n') out += "  ";
+      }
     }
-    out += "\n" + std::string(static_cast<std::size_t>(indent), ' ') + "}";
+    out += "\n}";
     return out;
   }
 

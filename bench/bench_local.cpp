@@ -52,7 +52,7 @@ struct QueryStats {
 /// Runs the given query ids against the oracle, optionally clearing the
 /// memo before every query (the cold regime: each answer re-walks its
 /// full adjudication chain, as a one-off lookup against a fresh oracle
-/// would).
+/// would). Only ClusterOf is timed; the O(n) clear is not.
 QueryStats RunQueries(const LocalMembershipOracle& oracle,
                       const std::vector<std::size_t>& ids, bool cold) {
   QueryStats stats;
@@ -60,15 +60,15 @@ QueryStats RunQueries(const LocalMembershipOracle& oracle,
   depths.reserve(ids.size());
   std::uint64_t total_distance_queries = 0;
   const RunContext run;
-  Stopwatch watch;
   for (std::size_t u : ids) {
     if (cold) oracle.ClearMemo();
+    Stopwatch watch;
     Result<MembershipAnswer> answer = oracle.ClusterOf(u, run);
+    stats.seconds += watch.ElapsedSeconds();
     CLUSTAGG_CHECK_OK(answer.status());
     depths.push_back(answer->chain_depth);
     total_distance_queries += answer->distance_queries;
   }
-  stats.seconds = watch.ElapsedSeconds();
   std::sort(depths.begin(), depths.end());
   std::uint64_t depth_sum = 0;
   for (std::uint64_t d : depths) depth_sum += d;

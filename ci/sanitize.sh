@@ -29,8 +29,9 @@
 # process and check each against float(PairwiseDistance) bit for bit.
 #
 # The local leg runs the membership-oracle suites (labels `local` and
-# `differential`): many threads share one oracle and race its LRU memo,
-# so the TSan pass is what certifies the concurrent-query contract of
+# `differential`): many threads share one oracle and race their first
+# writes to its owner table while another thread clears it, so the TSan
+# pass is what certifies the concurrent-query contract of
 # docs/local_queries.md.
 #
 # The shard leg is the library's widest parallel surface (worker threads

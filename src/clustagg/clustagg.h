@@ -45,7 +45,6 @@
 #include "shard/decompose.h"
 #include "shard/shard_aggregator.h"
 #include "shard/shard_options.h"
-#include "signed/signed_graph.h"
 #include "stream/journal.h"
 #include "stream/recovery.h"
 #include "stream/snapshot.h"

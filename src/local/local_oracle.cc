@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -28,7 +27,7 @@ LocalMembershipOracle::LocalMembershipOracle(
       options_(options),
       sig_of_(std::move(sig_of)),
       rep_object_(std::move(rep_object)),
-      memo_(new Memo) {
+      owner_(source_->size()) {
   const std::size_t s = source_->size();
   // The exact stream PivotClusterer draws for its first repetition:
   // Rng(seed).Permutation(s). Pinning the draw here is what makes every
@@ -80,54 +79,20 @@ Result<LocalMembershipOracle> LocalMembershipOracle::FromClusteringsFolded(
                                signatures.representatives());
 }
 
-bool LocalMembershipOracle::MemoLookup(std::size_t v,
-                                       std::size_t* owner) const {
-  if (options_.memo_capacity == 0) return false;
-  std::lock_guard<std::mutex> lock(memo_->mu);
-  auto it = memo_->entries.find(v);
-  if (it == memo_->entries.end()) return false;
-  // Touch: move to the recent end.
-  memo_->lru.splice(memo_->lru.begin(), memo_->lru, it->second.second);
-  *owner = it->second.first;
-  return true;
-}
-
-void LocalMembershipOracle::MemoInsert(std::size_t v,
-                                       std::size_t owner) const {
-  if (options_.memo_capacity == 0) return;
-  std::lock_guard<std::mutex> lock(memo_->mu);
-  auto it = memo_->entries.find(v);
-  if (it != memo_->entries.end()) {
-    // A racing query resolved v first; adjudications are deterministic,
-    // so the values necessarily agree.
-    memo_->lru.splice(memo_->lru.begin(), memo_->lru, it->second.second);
-    return;
-  }
-  if (memo_->entries.size() >= options_.memo_capacity) {
-    memo_->entries.erase(memo_->lru.back());
-    memo_->lru.pop_back();
-  }
-  memo_->lru.push_front(v);
-  memo_->entries.emplace(v, std::make_pair(owner, memo_->lru.begin()));
-}
-
 void LocalMembershipOracle::ClearMemo() const {
-  std::lock_guard<std::mutex> lock(memo_->mu);
-  memo_->entries.clear();
-  memo_->lru.clear();
-}
-
-std::size_t LocalMembershipOracle::memo_entries() const {
-  std::lock_guard<std::mutex> lock(memo_->mu);
-  return memo_->entries.size();
+  for (std::atomic<std::size_t>& entry : owner_) {
+    entry.store(0, std::memory_order_relaxed);
+  }
 }
 
 RunOutcome LocalMembershipOracle::ResolveOwner(std::size_t v,
                                                const RunContext& run,
                                                QueryStats* stats,
                                                std::size_t* owner) const {
-  if (MemoLookup(v, owner)) {
+  if (const std::size_t known = owner_[v].load(std::memory_order_relaxed);
+      known != 0) {
     ++stats->memo_hits;
+    *owner = known - 1;
     return RunOutcome::kConverged;
   }
   // One frame per in-flight adjudication: walk candidates w = perm_[r]
@@ -136,21 +101,16 @@ RunOutcome LocalMembershipOracle::ResolveOwner(std::size_t v,
   // a candidate pushes a frame with a strictly smaller rank, so the
   // chain is acyclic and at most rank(v) deep.
   struct Frame {
-    std::size_t x;      // object being adjudicated (simulation space)
-    std::size_t limit;  // rank_[x]: candidates strictly before x
-    std::size_t r;      // next candidate rank to examine
+    std::size_t x;       // object being adjudicated (simulation space)
+    std::size_t limit;   // rank_[x]: candidates strictly before x
+    std::size_t r;       // next candidate rank to examine
+    std::size_t handed;  // owner(perm_[r]) + 1 from the popped child, or 0
   };
   std::vector<Frame> stack;
-  stack.push_back({v, rank_[v], 0});
+  stack.push_back({v, rank_[v], 0, 0});
   ++stats->inspections;
   stats->chain_depth = std::max<std::uint64_t>(stats->chain_depth, 1);
   const double threshold = options_.join_threshold;
-  // Adjudications completed during *this* walk. The shared LRU memo is
-  // an optimization only — it may be disabled or evict at any moment —
-  // so a parent frame must never depend on finding its child's answer
-  // there: without this walk-local map the parent would re-push the
-  // resolved child forever.
-  std::unordered_map<std::size_t, std::size_t> walk;
   std::uint64_t steps = 0;
   for (;;) {
     Frame& f = stack.back();
@@ -163,42 +123,43 @@ RunOutcome LocalMembershipOracle::ResolveOwner(std::size_t v,
         }
       }
       const std::size_t w = perm_[f.r];
+      std::size_t known = std::exchange(f.handed, 0);
       ++stats->distance_queries;
       if (!(source_->distance(w, f.x) < threshold)) {
         ++f.r;  // w can never own f.x, pivot or not
         continue;
       }
-      std::size_t owner_w;
-      if (auto it = walk.find(w); it != walk.end()) {
-        owner_w = it->second;
-      } else if (MemoLookup(w, &owner_w)) {
-        ++stats->memo_hits;
-      } else {
+      if (known == 0) {
+        known = owner_[w].load(std::memory_order_relaxed);
+        if (known != 0) ++stats->memo_hits;
+      }
+      if (known == 0) {
         // w's pivot status is unknown: adjudicate it first. On return
-        // the walk map answers for w and this frame re-examines rank
-        // f.r.
-        stack.push_back({w, rank_[w], 0});
+        // the child hands its owner to this frame, which re-examines
+        // rank f.r; the walk never needs the table to make progress, so
+        // a concurrent ClearMemo cannot stall it.
+        stack.push_back({w, rank_[w], 0, 0});
         ++stats->inspections;
         stats->chain_depth =
             std::max<std::uint64_t>(stats->chain_depth, stack.size());
         descended = true;
         break;
       }
-      if (owner_w == w) break;  // captured: w is a pivot
-      ++f.r;                    // w was itself captured earlier; skip
+      if (known - 1 == w) break;  // captured: w is a pivot
+      ++f.r;                      // w was itself captured earlier; skip
     }
     if (descended) continue;
     // Frame resolved: captured at rank f.r, or walked off the end and
     // f.x is a pivot.
     const std::size_t resolved =
         f.r < f.limit ? perm_[f.r] : f.x;
-    walk.emplace(f.x, resolved);
-    MemoInsert(f.x, resolved);
+    owner_[f.x].store(resolved + 1, std::memory_order_relaxed);
     if (stack.size() == 1) {
       *owner = resolved;
       return RunOutcome::kConverged;
     }
     stack.pop_back();
+    stack.back().handed = resolved + 1;
   }
 }
 
@@ -267,7 +228,7 @@ Result<Clustering> LocalMembershipOracle::MaterializeLabels(
   InstrumentedSpan span(telemetry, "local.materialize");
   const std::size_t n = size();
   std::vector<Clustering::Label> labels(n, Clustering::kMissing);
-  std::unordered_map<std::size_t, Clustering::Label> label_of_pivot;
+  std::vector<Clustering::Label> label_of_pivot(n, Clustering::kMissing);
   Clustering::Label next = 0;
   for (std::size_t u = 0; u < n; ++u) {
     Result<MembershipAnswer> answer = ClusterOf(u, run);
@@ -280,9 +241,9 @@ Result<Clustering> LocalMembershipOracle::MaterializeLabels(
       labels[u] = next++;
       continue;
     }
-    auto [it, inserted] = label_of_pivot.try_emplace(answer->pivot, next);
-    if (inserted) ++next;
-    labels[u] = it->second;
+    Clustering::Label& label = label_of_pivot[answer->pivot];
+    if (label == Clustering::kMissing) label = next++;
+    labels[u] = label;
   }
   // Labels are assigned in first-appearance object order already, so
   // the result is normalized by construction; Normalized() also heals

@@ -1,12 +1,10 @@
 #ifndef CLUSTAGG_LOCAL_LOCAL_ORACLE_H_
 #define CLUSTAGG_LOCAL_LOCAL_ORACLE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/run_context.h"
@@ -28,11 +26,6 @@ struct LocalOracleOptions {
   /// A vertex joins a pivot's cluster when its distance to the pivot is
   /// below this threshold — same meaning as PivotOptions::join_threshold.
   double join_threshold = 0.5;
-  /// Capacity (entries) of the LRU memo caching pivot adjudications.
-  /// Repeated queries over a hot region amortize to near-zero chain
-  /// walking; eviction only costs deterministic recomputation, never
-  /// changes an answer. 0 disables memoization entirely.
-  std::size_t memo_capacity = std::size_t{1} << 16;
 };
 
 /// Answer of a single ClusterOf query.
@@ -105,9 +98,10 @@ struct SameClusterAnswer {
 /// tests/local_differential_test.cc).
 ///
 /// Thread safety: queries are deep-const and may run concurrently from
-/// many threads against one shared oracle; the adjudication memo is an
-/// internally locked LRU. Deterministic: concurrent and serial use
-/// return identical answers.
+/// many threads against one shared oracle; completed adjudications land
+/// in a write-once owner table of relaxed atomics (racing writers store
+/// the same value). Deterministic: concurrent and serial use return
+/// identical answers.
 class LocalMembershipOracle {
  public:
   /// Wraps an already-built source (n = source->size() objects).
@@ -163,12 +157,10 @@ class LocalMembershipOracle {
   /// an interrupted global pass.
   Result<Clustering> MaterializeLabels(const RunContext& run = {}) const;
 
-  /// Drops every memoized adjudication (cold-cache testing; answers are
-  /// identical either way).
+  /// Drops every memoized adjudication in O(sim_size()) (cold-cache
+  /// testing; answers are identical either way, and queries running
+  /// concurrently stay correct).
   void ClearMemo() const;
-
-  /// Adjudications currently memoized (<= memo_capacity).
-  std::size_t memo_entries() const;
 
  private:
   LocalMembershipOracle(std::shared_ptr<const DistanceSource> source,
@@ -186,16 +178,14 @@ class LocalMembershipOracle {
 
   /// Adjudicates owner(v) in simulation space with an explicit stack
   /// (ranks strictly decrease downward, so depth <= rank(v) and there
-  /// are no cycles). kConverged => *owner is valid and memoized.
+  /// are no cycles). kConverged => *owner is valid and recorded in
+  /// owner_.
   RunOutcome ResolveOwner(std::size_t v, const RunContext& run,
                           QueryStats* stats, std::size_t* owner) const;
 
   /// One query in simulation space + telemetry recording.
   MembershipAnswer QuerySim(std::size_t sim_v, std::size_t query_object,
                             const RunContext& run) const;
-
-  bool MemoLookup(std::size_t v, std::size_t* owner) const;
-  void MemoInsert(std::size_t v, std::size_t owner) const;
 
   std::shared_ptr<const DistanceSource> source_;
   LocalOracleOptions options_;
@@ -207,20 +197,11 @@ class LocalMembershipOracle {
   std::vector<std::size_t> sig_of_;
   std::vector<std::size_t> rep_object_;
 
-  /// LRU memo of completed adjudications: sim object -> owning pivot.
-  /// Entries are deterministic values, so concurrent inserts of the same
-  /// key always agree and eviction is only ever a recomputation cost.
-  /// Behind a unique_ptr so the oracle stays movable (Result<T> needs
-  /// it) while the mutex address stays stable.
-  struct Memo {
-    std::mutex mu;
-    std::list<std::size_t> lru;  // front = most recent
-    std::unordered_map<
-        std::size_t,
-        std::pair<std::size_t, std::list<std::size_t>::iterator>>
-        entries;
-  };
-  std::unique_ptr<Memo> memo_;
+  /// Completed adjudications: owner_[v] holds owner(v) + 1, and 0 means
+  /// unknown (value-initialized atomics start at 0). owner(v) is a pure
+  /// function of (seed, v), so the table never goes stale; every access
+  /// is relaxed because the stored value is the whole payload.
+  mutable std::vector<std::atomic<std::size_t>> owner_;
 };
 
 }  // namespace clustagg

@@ -133,6 +133,13 @@ if(NOT rc EQUAL 2)
   message(FATAL_ERROR "--fold with --backend dense should exit 2, "
                       "got ${rc}")
 endif()
+# The adjudication table is always on: --memo is no flag of the CLI.
+execute_process(COMMAND ${CLI} query --local --of 0 --memo 4 ${FILES}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --memo")
+  message(FATAL_ERROR "--memo should exit 2 as an unknown flag, got "
+                      "${rc}: ${err}")
+endif()
 
 # A boolean selector never takes the next argument: `--all FILES` reads
 # all three label files and stays bit-identical to the global run.

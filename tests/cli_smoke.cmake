@@ -183,6 +183,17 @@ execute_process(COMMAND ${CLI} gen votes --rows zz --out ${WORK}/zz.csv
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "gen --rows zz should exit 2, got ${rc}")
 endif()
+# A gen flag the dataset cannot use exits 2 instead of being ignored:
+# votes and mushrooms have a fixed size, and only gaussian has
+# components.
+foreach(bad "votes;--rows;100" "mushrooms;--rows;100" "votes;--clusters;3"
+            "mushrooms;--clusters;3" "census;--clusters;3")
+  execute_process(COMMAND ${CLI} gen ${bad} --out ${WORK}/ignored.csv
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "gen ${bad} should exit 2, got ${rc}")
+  endif()
+endforeach()
 # --delimiter is exactly one character. The 'a'-separated file parses
 # under the first character of 'ab', so only the flag check rejects it.
 file(WRITE ${WORK}/a_sep.csv "xay\n1a2\n3a4\n")

@@ -86,10 +86,12 @@ Clustering GlobalPivotRun(const ClusteringSet& input, std::uint64_t seed,
 /// answers describe, normalized by first appearance in *object* order —
 /// the order-independent canonical form.
 Clustering LabelsFromQueries(const LocalMembershipOracle& oracle,
-                             const std::vector<std::size_t>& order) {
+                             const std::vector<std::size_t>& order,
+                             bool cold = false) {
   const std::size_t n = oracle.size();
   std::vector<std::size_t> pivot_of(n, 0);
   for (std::size_t u : order) {
+    if (cold) oracle.ClearMemo();
     Result<MembershipAnswer> answer = oracle.ClusterOf(u);
     EXPECT_TRUE(answer.ok()) << answer.status().message();
     EXPECT_EQ(answer->outcome, RunOutcome::kConverged);
@@ -400,19 +402,16 @@ TEST(LocalDifferentialTest, MemoizedAndColdCacheAnswersAreIdentical) {
     const ClusteringSet input =
         RandomClusteringSet(n, 3, 1 + rng.NextBounded(4), &rng);
     const Clustering global = GlobalPivotRun(input, seed);
-    LocalOracleOptions memoized;
-    memoized.seed = seed;
-    LocalOracleOptions cold;
-    cold.seed = seed;
-    cold.memo_capacity = 0;
+    LocalOracleOptions options;
+    options.seed = seed;
     Result<LocalMembershipOracle> hot =
-        LocalMembershipOracle::FromClusterings(input, {}, memoized);
+        LocalMembershipOracle::FromClusterings(input, {}, options);
     Result<LocalMembershipOracle> off =
-        LocalMembershipOracle::FromClusterings(input, {}, cold);
+        LocalMembershipOracle::FromClusterings(input, {}, options);
     ASSERT_TRUE(hot.ok() && off.ok());
     const std::vector<std::size_t> order = RandomPermutation(n, &rng);
     EXPECT_EQ(LabelsFromQueries(*hot, order),
-              LabelsFromQueries(*off, order));
+              LabelsFromQueries(*off, order, /*cold=*/true));
     Result<Clustering> hot_labels = hot->MaterializeLabels();
     Result<Clustering> off_labels = off->MaterializeLabels();
     ASSERT_TRUE(hot_labels.ok() && off_labels.ok());

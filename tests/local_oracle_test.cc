@@ -3,10 +3,11 @@
 // against the global CC-PIVOT run lives in local_differential_test.cc;
 // here the oracle's own contract is pinned: degenerate instances,
 // invalid arguments, the run-control degradation path, memo semantics
-// (answers identical hot, cold, tiny, and disabled), and thread safety
-// of concurrent queries against one shared oracle (the ci/sanitize.sh
+// (answers identical hot and cold), and thread safety of concurrent
+// queries and clears against one shared oracle (the ci/sanitize.sh
 // `local` TSan gate).
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -279,38 +280,26 @@ TEST(LocalOracleTest, MemoizedColdAndDisabledAnswersAgree) {
   Rng rng(11);
   const ClusteringSet input = RandomClusteringSet(40, 4, 5, &rng);
 
-  LocalOracleOptions hot_options;
-  const LocalMembershipOracle hot = MakeOracle(input, hot_options);
-  LocalOracleOptions off_options;
-  off_options.memo_capacity = 0;
-  const LocalMembershipOracle off = MakeOracle(input, off_options);
-  LocalOracleOptions tiny_options;
-  tiny_options.memo_capacity = 3;  // constant churn: every walk evicts
-  const LocalMembershipOracle tiny = MakeOracle(input, tiny_options);
+  const LocalMembershipOracle hot = MakeOracle(input, {});
+  const LocalMembershipOracle cold = MakeOracle(input, {});
 
   for (std::size_t u = 0; u < input.num_objects(); ++u) {
     Result<MembershipAnswer> warm1 = hot.ClusterOf(u);
     ASSERT_TRUE(warm1.ok());
     Result<MembershipAnswer> warm2 = hot.ClusterOf(u);  // memo hit
     ASSERT_TRUE(warm2.ok());
-    Result<MembershipAnswer> cold = off.ClusterOf(u);
-    ASSERT_TRUE(cold.ok());
-    Result<MembershipAnswer> churned = tiny.ClusterOf(u);
-    ASSERT_TRUE(churned.ok());
-    EXPECT_EQ(warm1->pivot, cold->pivot) << "u = " << u;
-    EXPECT_EQ(warm2->pivot, cold->pivot) << "u = " << u;
-    EXPECT_EQ(churned->pivot, cold->pivot) << "u = " << u;
+    cold.ClearMemo();  // every cold query walks its whole chain
+    Result<MembershipAnswer> fresh = cold.ClusterOf(u);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(warm1->pivot, fresh->pivot) << "u = " << u;
+    EXPECT_EQ(warm2->pivot, fresh->pivot) << "u = " << u;
     // The repeat of a memoized query is a straight cache hit.
     EXPECT_GE(warm2->memo_hits, 1u) << "u = " << u;
   }
-  EXPECT_GT(hot.memo_entries(), 0u);
-  EXPECT_LE(tiny.memo_entries(), 3u);
-  EXPECT_EQ(off.memo_entries(), 0u);
 
   // Clearing the memo only costs recomputation, never the answer.
   Result<MembershipAnswer> before = hot.ClusterOf(0);
   hot.ClearMemo();
-  EXPECT_EQ(hot.memo_entries(), 0u);
   Result<MembershipAnswer> after = hot.ClusterOf(0);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
@@ -350,9 +339,7 @@ TEST(LocalOracleTest, ConcurrentQueriesMatchSerialAnswers) {
   Rng rng(23);
   const ClusteringSet input = RandomClusteringSet(60, 4, 4, &rng);
   const std::size_t n = input.num_objects();
-  LocalOracleOptions options;
-  options.memo_capacity = 16;  // small enough that threads race evictions
-  const LocalMembershipOracle oracle = MakeOracle(input, options);
+  const LocalMembershipOracle oracle = MakeOracle(input, {});
 
   // Serial ground truth from an independent oracle (fresh memo).
   const LocalMembershipOracle reference = MakeOracle(input, {});
@@ -363,11 +350,16 @@ TEST(LocalOracleTest, ConcurrentQueriesMatchSerialAnswers) {
     expected[u] = answer->pivot;
   }
 
-  // Many threads hammer one shared oracle, each in a different order;
+  // Many threads hammer one shared oracle, each in a different order,
+  // while one more thread keeps clearing the owner table under them;
   // this is the TSan target of `ci/sanitize.sh local`.
   constexpr std::size_t kThreads = 8;
   std::vector<std::vector<std::size_t>> got(
       kThreads, std::vector<std::size_t>(n, 0));
+  std::atomic<bool> querying{true};
+  std::thread clearer([&] {
+    while (querying.load()) oracle.ClearMemo();
+  });
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -382,6 +374,8 @@ TEST(LocalOracleTest, ConcurrentQueriesMatchSerialAnswers) {
     });
   }
   for (std::thread& thread : threads) thread.join();
+  querying.store(false);
+  clearer.join();
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(got[t], expected) << "thread " << t;
   }

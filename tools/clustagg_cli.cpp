@@ -129,8 +129,6 @@ constexpr FlagSpec kFlags[] = {
      "CC-PIVOT attempts (default 8; query --local simulates 1)"},
     {"threshold", kNumber, kQuery, "X",
      "join threshold of the simulated CC-PIVOT (default 0.5)"},
-    {"memo", kInt, kQuery, "N",
-     "memo entries for pivot adjudications; 0 disables, answers unchanged"},
     {"missing", kEnum, kRun, "coin|ignore",
      "a missing label splits a pair by coin toss (default) or is skipped"},
     {"coin-p", kNumber, kRun, "P",
@@ -748,7 +746,6 @@ int CmdQuery(const Flags& flags) {
   LocalOracleOptions options;
   options.seed = flags.Int("seed", 1);
   options.join_threshold = flags.Number("threshold", 0.5);
-  options.memo_capacity = flags.Int("memo", options.memo_capacity);
   const MissingValueOptions missing = ParseMissingFlags(flags);
 
   // Backend: lazy is the natural serving substrate (O(n*m) memory, no
@@ -874,6 +871,16 @@ int CmdGen(const Flags& flags) {
   const std::string kind = flags.positional[0];
   const std::uint64_t seed = flags.Int("seed", 1);
   const std::string out = flags.Get("out", kind + ".csv");
+  // The mode mask admits --rows and --clusters for every dataset; only
+  // census and gaussian have a size, and only gaussian has components.
+  if (flags.Has("rows") && (kind == "votes" || kind == "mushrooms")) {
+    return Fail(Status::InvalidArgument(
+        "--rows does not apply to gen " + kind + " (its size is fixed)"));
+  }
+  if (flags.Has("clusters") && kind != "gaussian") {
+    return Fail(Status::InvalidArgument(
+        "--clusters applies only to gen gaussian"));
+  }
 
   Result<SyntheticCategoricalData> data = [&]() {
     if (kind == "votes") return MakeVotesLike(seed);

@@ -172,7 +172,6 @@ int main(int argc, char** argv) {
 
   JsonObject json;
   json.Set("bench", std::string("shard"))
-      .Set("hardware_threads", ResolveThreadCount(0))
       .Set("n", n)
       .Set("m", m)
       .Set("groups", groups)

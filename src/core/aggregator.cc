@@ -174,9 +174,9 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
       InstrumentedSpan build_span(telemetry, "build_instance");
       auto build = [&]() {
         return fold_index
-                   ? CorrelationInstance::BuildSubset(
-                         input, fold_index->representatives(),
-                         effective.missing, source_options)
+                   ? CorrelationInstance::BuildFolded(input, *fold_index,
+                                                      effective.missing,
+                                                      source_options)
                    : CorrelationInstance::Build(input, effective.missing,
                                                 source_options);
       };
@@ -196,14 +196,6 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
       }
       return first;
     }();
-    if (built.ok() && fold_index) {
-      // Re-wrap the folded source with the signature multiplicities so
-      // every clusterer and reduction weighs each representative by the
-      // originals it stands for.
-      built = CorrelationInstance::FromSource(built->shared_source(),
-                                              effective.num_threads,
-                                              fold_index->multiplicities());
-    }
     if (!built.ok()) {
       if (RunContext::IsInterrupt(built.status())) {
         // Degradation 3: the budget fired while the instance was still

@@ -53,6 +53,18 @@ Result<ClusteringSet> ClusteringSet::Create(
   return ClusteringSet(std::move(clusterings), std::move(weights));
 }
 
+ClusteringSet ClusteringSet::Restrict(
+    const std::vector<std::size_t>& objects) const {
+  std::vector<Clustering> restricted;
+  restricted.reserve(clusterings_.size());
+  for (const Clustering& c : clusterings_) {
+    restricted.push_back(c.Restrict(objects));
+  }
+  // The constructor re-sums the same weights in the same ascending
+  // order, so total_weight() keeps its bits.
+  return ClusteringSet(std::move(restricted), weights_);
+}
+
 double ClusteringSet::PairwiseDistance(
     std::size_t u, std::size_t v, const MissingValueOptions& missing) const {
   CLUSTAGG_CHECK(u < num_objects_ && v < num_objects_);

@@ -61,6 +61,13 @@ class ClusteringSet {
   /// True if any input clustering has a missing label.
   bool HasMissing() const { return has_missing_; }
 
+  /// The input restricted to the given objects: object i of the result
+  /// is objects[i] under every clustering. Weights, missing labels and
+  /// total_weight() are kept. CHECK-fails on an id out of range, like
+  /// Clustering::Restrict. This is how SAMPLING, sharding and folding
+  /// build their sub-instances: every builder then sees a whole input.
+  ClusteringSet Restrict(const std::vector<std::size_t>& objects) const;
+
   /// X_uv: the (expected) fraction of input clusterings that place u and v
   /// in different clusters, under the given missing-value policy. O(m).
   double PairwiseDistance(std::size_t u, std::size_t v,

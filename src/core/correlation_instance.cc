@@ -58,10 +58,18 @@ Result<CorrelationInstance> CorrelationInstance::Build(
 Result<CorrelationInstance> CorrelationInstance::BuildSubset(
     const ClusteringSet& input, const std::vector<std::size_t>& subset,
     const MissingValueOptions& missing, const DistanceSourceOptions& options) {
-  Result<std::shared_ptr<const DistanceSource>> source =
-      BuildDistanceSourceSubset(input, subset, missing, options);
+  return Build(input.Restrict(subset), missing, options);
+}
+
+Result<CorrelationInstance> CorrelationInstance::BuildFolded(
+    const ClusteringSet& input, const SignatureIndex& fold,
+    const MissingValueOptions& missing, const DistanceSourceOptions& options) {
+  CLUSTAGG_CHECK(fold.num_objects() == input.num_objects());
+  Result<std::shared_ptr<const DistanceSource>> source = BuildDistanceSource(
+      input.Restrict(fold.representatives()), missing, options);
   if (!source.ok()) return source.status();
-  return CorrelationInstance(std::move(source).value(), options.num_threads);
+  return CorrelationInstance(std::move(source).value(), options.num_threads,
+                             fold.multiplicities());
 }
 
 CorrelationInstance CorrelationInstance::FromSource(

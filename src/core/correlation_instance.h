@@ -13,6 +13,7 @@
 #include "core/clustering.h"
 #include "core/clustering_set.h"
 #include "core/distance_source.h"
+#include "core/signature_index.h"
 
 namespace clustagg {
 
@@ -48,10 +49,19 @@ class CorrelationInstance {
       const ClusteringSet& input, const MissingValueOptions& missing = {},
       const DistanceSourceOptions& options = {});
 
-  /// Same, restricted to the given objects: object i of the instance is
-  /// subset[i]. Used by the SAMPLING algorithm.
+  /// Build(input.Restrict(subset), ...); kept for existing callers.
   static Result<CorrelationInstance> BuildSubset(
       const ClusteringSet& input, const std::vector<std::size_t>& subset,
+      const MissingValueOptions& missing = {},
+      const DistanceSourceOptions& options = {});
+
+  /// The folded instance of `input`: Build over the input restricted to
+  /// fold.representatives(), carrying fold.multiplicities() (see
+  /// FromSource). `fold` must group exactly `input`'s objects. Object g
+  /// of the result is signature g; SignatureIndex::Fold and Expand map
+  /// clusterings into and out of this space.
+  static Result<CorrelationInstance> BuildFolded(
+      const ClusteringSet& input, const SignatureIndex& fold,
       const MissingValueOptions& missing = {},
       const DistanceSourceOptions& options = {});
 

@@ -61,10 +61,9 @@ struct DistanceColumns {
 namespace {
 
 internal::DistanceColumns MakeColumns(const ClusteringSet& input,
-                                      const std::vector<std::size_t>* subset,
                                       const MissingValueOptions& missing) {
   internal::DistanceColumns cols;
-  cols.n = subset != nullptr ? subset->size() : input.num_objects();
+  cols.n = input.num_objects();
   cols.m = input.num_clusterings();
   cols.missing = missing;
   cols.total_weight = input.total_weight();
@@ -78,8 +77,7 @@ internal::DistanceColumns MakeColumns(const ClusteringSet& input,
     const Clustering& c = input.clustering(i);
     Clustering::Label* out = rows.data() + i;
     for (std::size_t v = 0; v < cols.n; ++v) {
-      const Clustering::Label label =
-          c.label(subset != nullptr ? (*subset)[v] : v);
+      const Clustering::Label label = c.label(v);
       if (label == Clustering::kMissing) any_missing = true;
       out[v * cols.m] = label;
     }
@@ -292,19 +290,8 @@ void DistanceSource::AgreementRow(std::size_t u,
 Result<std::shared_ptr<const DenseDistanceSource>> DenseDistanceSource::Build(
     const ClusteringSet& input, const MissingValueOptions& missing,
     std::size_t num_threads, const RunContext& run) {
-  return BuildDenseFromColumns(MakeColumns(input, nullptr, missing),
-                               num_threads, run);
-}
-
-Result<std::shared_ptr<const DenseDistanceSource>>
-DenseDistanceSource::BuildSubset(const ClusteringSet& input,
-                                 const std::vector<std::size_t>& subset,
-                                 const MissingValueOptions& missing,
-                                 std::size_t num_threads,
-                                 const RunContext& run) {
-  for (std::size_t v : subset) CLUSTAGG_CHECK(v < input.num_objects());
-  return BuildDenseFromColumns(MakeColumns(input, &subset, missing),
-                               num_threads, run);
+  return BuildDenseFromColumns(MakeColumns(input, missing), num_threads,
+                               run);
 }
 
 void DenseDistanceSource::FillRow(std::size_t u, std::span<double> row) const {
@@ -367,17 +354,14 @@ Result<std::shared_ptr<const LazyDistanceSource>> LazyDistanceSource::Build(
     const ClusteringSet& input, const MissingValueOptions& missing) {
   return std::shared_ptr<const LazyDistanceSource>(
       new LazyDistanceSource(std::make_unique<internal::DistanceColumns>(
-          MakeColumns(input, nullptr, missing))));
+          MakeColumns(input, missing))));
 }
 
 Result<std::shared_ptr<const LazyDistanceSource>>
 LazyDistanceSource::BuildSubset(const ClusteringSet& input,
                                 const std::vector<std::size_t>& subset,
                                 const MissingValueOptions& missing) {
-  for (std::size_t v : subset) CLUSTAGG_CHECK(v < input.num_objects());
-  return std::shared_ptr<const LazyDistanceSource>(
-      new LazyDistanceSource(std::make_unique<internal::DistanceColumns>(
-          MakeColumns(input, &subset, missing))));
+  return Build(input.Restrict(subset), missing);
 }
 
 std::size_t LazyDistanceSource::size() const { return columns_->n; }
@@ -439,28 +423,6 @@ Result<std::shared_ptr<const DistanceSource>> BuildDistanceSource(
     case DistanceBackend::kLazy: {
       Result<std::shared_ptr<const LazyDistanceSource>> lazy =
           LazyDistanceSource::Build(input, missing);
-      if (!lazy.ok()) return lazy.status();
-      TelemetryCount(options.run.telemetry(), "build.lazy_builds");
-      return std::shared_ptr<const DistanceSource>(std::move(lazy).value());
-    }
-  }
-  return Status::Internal("unknown distance backend");
-}
-
-Result<std::shared_ptr<const DistanceSource>> BuildDistanceSourceSubset(
-    const ClusteringSet& input, const std::vector<std::size_t>& subset,
-    const MissingValueOptions& missing, const DistanceSourceOptions& options) {
-  switch (options.backend) {
-    case DistanceBackend::kDense: {
-      Result<std::shared_ptr<const DenseDistanceSource>> dense =
-          DenseDistanceSource::BuildSubset(input, subset, missing,
-                                           options.num_threads, options.run);
-      if (!dense.ok()) return dense.status();
-      return std::shared_ptr<const DistanceSource>(std::move(dense).value());
-    }
-    case DistanceBackend::kLazy: {
-      Result<std::shared_ptr<const LazyDistanceSource>> lazy =
-          LazyDistanceSource::BuildSubset(input, subset, missing);
       if (!lazy.ok()) return lazy.status();
       TelemetryCount(options.run.telemetry(), "build.lazy_builds");
       return std::shared_ptr<const DistanceSource>(std::move(lazy).value());

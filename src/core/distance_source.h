@@ -110,13 +110,6 @@ class DenseDistanceSource final : public DistanceSource {
       const ClusteringSet& input, const MissingValueOptions& missing = {},
       std::size_t num_threads = 0, const RunContext& run = RunContext());
 
-  /// Same, restricted to the given objects: object i of the source is
-  /// subset[i]. Used by the SAMPLING algorithm.
-  static Result<std::shared_ptr<const DenseDistanceSource>> BuildSubset(
-      const ClusteringSet& input, const std::vector<std::size_t>& subset,
-      const MissingValueOptions& missing = {}, std::size_t num_threads = 0,
-      const RunContext& run = RunContext());
-
   std::size_t size() const override { return distances_.size(); }
   double distance(std::size_t u, std::size_t v) const override {
     return distances_(u, v);
@@ -143,6 +136,7 @@ class LazyDistanceSource final : public DistanceSource {
   static Result<std::shared_ptr<const LazyDistanceSource>> Build(
       const ClusteringSet& input, const MissingValueOptions& missing = {});
 
+  /// Build(input.Restrict(subset), missing); kept for existing callers.
   static Result<std::shared_ptr<const LazyDistanceSource>> BuildSubset(
       const ClusteringSet& input, const std::vector<std::size_t>& subset,
       const MissingValueOptions& missing = {});
@@ -166,14 +160,10 @@ class LazyDistanceSource final : public DistanceSource {
   std::unique_ptr<internal::DistanceColumns> columns_;
 };
 
-/// Backend-dispatching builders: the one entry point most callers want.
+/// Backend-dispatching builder: the one entry point most callers want.
+/// A sub-instance is built over ClusteringSet::Restrict.
 Result<std::shared_ptr<const DistanceSource>> BuildDistanceSource(
     const ClusteringSet& input, const MissingValueOptions& missing = {},
-    const DistanceSourceOptions& options = {});
-
-Result<std::shared_ptr<const DistanceSource>> BuildDistanceSourceSubset(
-    const ClusteringSet& input, const std::vector<std::size_t>& subset,
-    const MissingValueOptions& missing = {},
     const DistanceSourceOptions& options = {});
 
 }  // namespace clustagg

@@ -111,37 +111,33 @@ void ApplySubClustering(const Clustering& sub_clustering,
   *next_label += max_label + 1;
 }
 
-/// Builds the correlation instance over `subset` — folded to one weighted
-/// representative per duplicate signature when `opts.fold` is on and the
-/// subset actually has duplicates — runs `base` on it, and expands folded
-/// labels back to subset space, so the caller always receives a clustering
-/// of subset.size() objects. Clusterer runs degrade internally (they
-/// return an outcome, not an interrupt status), so any interrupt status
-/// escaping here came from the instance build.
+/// Runs `base` on the input restricted to `subset` — folded to one
+/// weighted representative per duplicate signature when `opts.fold` is
+/// on and the subset actually has duplicates — and expands folded labels
+/// back, so the caller always receives a clustering of subset.size()
+/// objects. Clusterer runs degrade internally (they return an outcome,
+/// not an interrupt status), so any interrupt status escaping here came
+/// from the instance build.
 Result<ClustererRun> RunBaseOnSubset(const ClusteringSet& input,
                                      const CorrelationClusterer& base,
                                      const RunContext& run,
                                      const SamplingOptions& opts,
                                      const std::vector<std::size_t>& subset) {
+  const ClusteringSet restricted = input.Restrict(subset);
   std::optional<SignatureIndex> fold;
   if (opts.fold) {
-    SignatureIndex signatures = SignatureIndex::BuildSubset(input, subset);
+    SignatureIndex signatures = SignatureIndex::Build(restricted);
     if (!signatures.trivial()) {
       TelemetryCount(run.telemetry(), "sampling.folds");
       fold.emplace(std::move(signatures));
     }
   }
   Result<CorrelationInstance> instance =
-      CorrelationInstance::BuildSubset(
-          input, fold ? fold->representatives() : subset, opts.missing,
-          opts.source);
+      fold ? CorrelationInstance::BuildFolded(restricted, *fold, opts.missing,
+                                              opts.source)
+           : CorrelationInstance::Build(restricted, opts.missing,
+                                        opts.source);
   if (!instance.ok()) return instance.status();
-  if (fold) {
-    instance = CorrelationInstance::FromSource(instance->shared_source(),
-                                               opts.source.num_threads,
-                                               fold->multiplicities());
-    if (!instance.ok()) return instance.status();
-  }
   Result<ClustererRun> result = base.RunControlled(*instance, run);
   if (!result.ok()) return result.status();
   if (fold) result->clustering = fold->Expand(result->clustering);
@@ -167,11 +163,13 @@ Result<ClustererRun> SamplingAggregateControlled(
   const std::size_t n = input.num_objects();
   if (n == 0) return ClustererRun{Clustering(), RunOutcome::kConverged};
 
-  // Thread the budget into the subset-instance builds (their dense fill
-  // is the quadratic part of the pipeline) unless the caller already set
-  // a budget of their own there.
+  // Thread the budget and the telemetry sink into the subset-instance
+  // builds (their dense fill is the quadratic part of the pipeline)
+  // unless the caller already set a context of their own there. An
+  // unlimited run still carries its sink, so the build.* metrics of a
+  // sampled run are recorded whether or not it has a budget.
   SamplingOptions opts = options;
-  if (!run.unlimited() && opts.source.run.unlimited()) {
+  if (opts.source.run.unlimited() && opts.source.run.telemetry() == nullptr) {
     opts.source.run = run;
   }
   RunOutcome outcome = RunOutcome::kConverged;
@@ -338,23 +336,12 @@ Result<ClustererRun> SamplingAggregateControlled(
       ApplySubClustering(reclustered->clustering, singleton_objects,
                          &final_labels, &next_label);
     } else if (singleton_objects.size() > quadratic_cap) {
-      std::vector<Clustering> restricted;
-      std::vector<double> restricted_weights;
-      restricted.reserve(input.num_clusterings());
-      restricted_weights.reserve(input.num_clusterings());
-      for (std::size_t i = 0; i < input.num_clusterings(); ++i) {
-        restricted.push_back(
-            input.clustering(i).Restrict(singleton_objects));
-        restricted_weights.push_back(input.weight(i));
-      }
-      Result<ClusteringSet> sub_input = ClusteringSet::Create(
-          std::move(restricted), std::move(restricted_weights));
-      if (!sub_input.ok()) return sub_input.status();
+      const ClusteringSet sub_input = input.Restrict(singleton_objects);
       SamplingOptions sub_options = opts;
       sub_options.recluster_singletons = false;
       sub_options.sample_size = sample_size;
       Result<ClustererRun> reclustered =
-          SamplingAggregateControlled(*sub_input, base, run, sub_options);
+          SamplingAggregateControlled(sub_input, base, run, sub_options);
       if (!reclustered.ok()) return reclustered.status();
       outcome = MergeOutcomes(outcome, reclustered->outcome);
       ApplySubClustering(reclustered->clustering, singleton_objects,

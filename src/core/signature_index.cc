@@ -11,19 +11,7 @@
 namespace clustagg {
 
 SignatureIndex SignatureIndex::Build(const ClusteringSet& input) {
-  return BuildImpl(input, nullptr);
-}
-
-SignatureIndex SignatureIndex::BuildSubset(
-    const ClusteringSet& input, const std::vector<std::size_t>& subset) {
-  for (std::size_t v : subset) CLUSTAGG_CHECK(v < input.num_objects());
-  return BuildImpl(input, &subset);
-}
-
-SignatureIndex SignatureIndex::BuildImpl(
-    const ClusteringSet& input, const std::vector<std::size_t>* subset) {
-  const std::size_t n =
-      subset != nullptr ? subset->size() : input.num_objects();
+  const std::size_t n = input.num_objects();
   const std::size_t m = input.num_clusterings();
 
   // Object-major label rows, the packer's input.
@@ -31,9 +19,7 @@ SignatureIndex SignatureIndex::BuildImpl(
   for (std::size_t i = 0; i < m; ++i) {
     const Clustering& c = input.clustering(i);
     Clustering::Label* out = rows.data() + i;
-    for (std::size_t v = 0; v < n; ++v) {
-      out[v * m] = c.label(subset != nullptr ? (*subset)[v] : v);
-    }
+    for (std::size_t v = 0; v < n; ++v) out[v * m] = c.label(v);
   }
 
   // Packed signature rows: only whole-row *equality* matters here, so
@@ -58,15 +44,14 @@ SignatureIndex SignatureIndex::BuildImpl(
     std::size_t signature = static_cast<std::size_t>(-1);
     for (std::size_t candidate : bucket) {
       if (internal::PackedRowsEqual(*packed, v,
-                                    index.rep_subset_index_[candidate])) {
+                                    index.representative_[candidate])) {
         signature = candidate;
         break;
       }
     }
     if (signature == static_cast<std::size_t>(-1)) {
       signature = index.representative_.size();
-      index.representative_.push_back(subset != nullptr ? (*subset)[v] : v);
-      index.rep_subset_index_.push_back(v);
+      index.representative_.push_back(v);
       index.multiplicity_.push_back(0.0);
       bucket.push_back(signature);
     }
@@ -85,6 +70,11 @@ Clustering SignatureIndex::Expand(const Clustering& folded) const {
   Clustering expanded(std::move(labels));
   expanded.Normalize();
   return expanded;
+}
+
+Clustering SignatureIndex::Fold(const Clustering& objects) const {
+  CLUSTAGG_CHECK(objects.size() == num_objects());
+  return objects.Restrict(representative_);
 }
 
 }  // namespace clustagg

@@ -32,14 +32,7 @@ class SignatureIndex {
   /// deterministic.
   static SignatureIndex Build(const ClusteringSet& input);
 
-  /// Same, restricted to `subset`: element i of the index describes
-  /// subset[i]. `representative` then holds *global* object ids (members
-  /// of `subset`), while `signature_of` is indexed in subset space. Used
-  /// by the sampling pipeline to fold its sampled sub-instance.
-  static SignatureIndex BuildSubset(const ClusteringSet& input,
-                                    const std::vector<std::size_t>& subset);
-
-  /// Number of objects grouped (n, or subset size).
+  /// Number of objects grouped (n).
   std::size_t num_objects() const { return signature_of_.size(); }
 
   /// Number of distinct signatures s.
@@ -57,14 +50,14 @@ class SignatureIndex {
                      static_cast<double>(num_objects());
   }
 
-  /// Global object id of the first object carrying signature g. Using the
-  /// first occurrence keeps the folded subset ascending, so folded builds
-  /// reuse the existing subset machinery unchanged.
+  /// Object id of the first object carrying signature g. Using the first
+  /// occurrence keeps the list ascending, so restricting the input to it
+  /// (CorrelationInstance::BuildFolded) keeps the objects' order.
   const std::vector<std::size_t>& representatives() const {
     return representative_;
   }
 
-  /// Signature id of object v (index in subset space for BuildSubset).
+  /// Signature id of object v.
   std::size_t signature_of(std::size_t v) const { return signature_of_[v]; }
 
   /// Group size of each signature, as the multiplicity weights a folded
@@ -79,15 +72,14 @@ class SignatureIndex {
   /// normalized (labels renumbered by first appearance in object order).
   Clustering Expand(const Clustering& folded) const;
 
- private:
-  static SignatureIndex BuildImpl(const ClusteringSet& input,
-                                  const std::vector<std::size_t>* subset);
+  /// The other direction: maps a clustering of the n objects to the s
+  /// folded ones, giving signature g the label of its representative.
+  /// Labels are not renumbered, so a folded warm start starts from the
+  /// same partition.
+  Clustering Fold(const Clustering& objects) const;
 
+ private:
   std::vector<std::size_t> representative_;
-  /// Subset-space index of each representative (== representative_ when
-  /// built without a subset); lets BuildImpl compare candidate rows
-  /// without a global-id lookup.
-  std::vector<std::size_t> rep_subset_index_;
   std::vector<std::size_t> signature_of_;
   std::vector<double> multiplicity_;
 };

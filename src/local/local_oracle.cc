@@ -21,12 +21,9 @@ constexpr std::uint64_t kPollInterval = 64;
 
 LocalMembershipOracle::LocalMembershipOracle(
     std::shared_ptr<const DistanceSource> source,
-    const LocalOracleOptions& options, std::vector<std::size_t> sig_of,
-    std::vector<std::size_t> rep_object)
+    const LocalOracleOptions& options)
     : source_(std::move(source)),
       options_(options),
-      sig_of_(std::move(sig_of)),
-      rep_object_(std::move(rep_object)),
       owner_(source_->size()) {
   const std::size_t s = source_->size();
   // The exact stream PivotClusterer draws for its first repetition:
@@ -47,7 +44,7 @@ Result<LocalMembershipOracle> LocalMembershipOracle::Create(
   if (!(options.join_threshold >= 0.0 && options.join_threshold <= 1.0)) {
     return Status::InvalidArgument("join_threshold must lie in [0, 1]");
   }
-  return LocalMembershipOracle(std::move(source), options, {}, {});
+  return LocalMembershipOracle(std::move(source), options);
 }
 
 Result<LocalMembershipOracle> LocalMembershipOracle::FromClusterings(
@@ -62,21 +59,14 @@ Result<LocalMembershipOracle> LocalMembershipOracle::FromClusterings(
 Result<LocalMembershipOracle> LocalMembershipOracle::FromClusteringsFolded(
     const ClusteringSet& input, const MissingValueOptions& missing,
     const LocalOracleOptions& options) {
-  if (!(options.join_threshold >= 0.0 && options.join_threshold <= 1.0)) {
-    return Status::InvalidArgument("join_threshold must lie in [0, 1]");
-  }
   SignatureIndex signatures = SignatureIndex::Build(input);
   Result<std::shared_ptr<const LazyDistanceSource>> source =
-      LazyDistanceSource::BuildSubset(input, signatures.representatives(),
-                                      missing);
+      LazyDistanceSource::Build(input.Restrict(signatures.representatives()),
+                                missing);
   if (!source.ok()) return source.status();
-  std::vector<std::size_t> sig_of(input.num_objects());
-  for (std::size_t v = 0; v < sig_of.size(); ++v) {
-    sig_of[v] = signatures.signature_of(v);
-  }
-  return LocalMembershipOracle(*std::move(source), options,
-                               std::move(sig_of),
-                               signatures.representatives());
+  Result<LocalMembershipOracle> oracle = Create(*std::move(source), options);
+  if (oracle.ok()) oracle->fold_.emplace(std::move(signatures));
+  return oracle;
 }
 
 void LocalMembershipOracle::ClearMemo() const {
@@ -179,7 +169,7 @@ MembershipAnswer LocalMembershipOracle::QuerySim(
   if (answer.outcome == RunOutcome::kConverged) {
     // Map the owning pivot back to query space: the representative's
     // global object id under folding, the object itself otherwise.
-    answer.pivot = folded() ? rep_object_[owner] : owner;
+    answer.pivot = folded() ? fold_->representatives()[owner] : owner;
   } else {
     // Budget fired mid-chain: degrade to the tagged best-so-far
     // placement — the singleton an interrupted global pass would leave
@@ -204,7 +194,7 @@ Result<MembershipAnswer> LocalMembershipOracle::ClusterOf(
         "object id " + std::to_string(u) + " out of range [0, " +
         std::to_string(size()) + ")");
   }
-  const std::size_t sim_v = folded() ? sig_of_[u] : u;
+  const std::size_t sim_v = folded() ? fold_->signature_of(u) : u;
   return QuerySim(sim_v, u, run);
 }
 

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/run_context.h"
@@ -125,10 +126,12 @@ class LocalMembershipOracle {
       const LocalOracleOptions& options = {});
 
   /// Objects addressable by queries (n, even when folded).
-  std::size_t size() const { return folded() ? sig_of_.size() : sim_size(); }
+  std::size_t size() const {
+    return folded() ? fold_->num_objects() : sim_size();
+  }
 
   /// True when this oracle simulates in signature space.
-  bool folded() const { return !rep_object_.empty(); }
+  bool folded() const { return fold_.has_value(); }
 
   /// Objects of the simulated run (s signatures when folded, else n).
   std::size_t sim_size() const { return perm_.size(); }
@@ -164,9 +167,7 @@ class LocalMembershipOracle {
 
  private:
   LocalMembershipOracle(std::shared_ptr<const DistanceSource> source,
-                        const LocalOracleOptions& options,
-                        std::vector<std::size_t> sig_of,
-                        std::vector<std::size_t> rep_object);
+                        const LocalOracleOptions& options);
 
   /// Running totals one ResolveOwner walk accumulates.
   struct QueryStats {
@@ -192,10 +193,9 @@ class LocalMembershipOracle {
   /// The pinned permutation of the simulated run and its inverse.
   std::vector<std::size_t> perm_;
   std::vector<std::size_t> rank_;
-  /// Fold maps (empty when unfolded): object -> signature index, and
-  /// signature index -> representative's global object id.
-  std::vector<std::size_t> sig_of_;
-  std::vector<std::size_t> rep_object_;
+  /// The object grouping when folded: object -> signature, and
+  /// signature -> its representative's object id.
+  std::optional<SignatureIndex> fold_;
 
   /// Completed adjudications: owner_[v] holds owner(v) + 1, and 0 means
   /// unknown (value-initialized atomics start at 0). owner(v) is a pure

@@ -19,20 +19,6 @@ namespace clustagg {
 
 namespace {
 
-/// The input restricted to one shard's objects (ascending global ids):
-/// object i of the result is objects[i], with the input weights kept.
-Result<ClusteringSet> RestrictInput(const ClusteringSet& input,
-                                    const std::vector<std::size_t>& objects) {
-  std::vector<Clustering> restricted;
-  restricted.reserve(input.num_clusterings());
-  std::vector<double> weights(input.num_clusterings());
-  for (std::size_t i = 0; i < input.num_clusterings(); ++i) {
-    restricted.push_back(input.clustering(i).Restrict(objects));
-    weights[i] = input.weight(i);
-  }
-  return ClusteringSet::Create(std::move(restricted), std::move(weights));
-}
-
 Result<AggregationResult> RunUnsharded(const ClusteringSet& input,
                                        const AggregatorOptions& options) {
   AggregatorOptions plain = options;
@@ -78,8 +64,9 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   // whatever backend the per-shard solves use — because both backends
   // answer bit-identically and the scan reads each row exactly once.
   Result<std::shared_ptr<const LazyDistanceSource>> scan =
-      fold_index ? LazyDistanceSource::BuildSubset(
-                       input, fold_index->representatives(), options.missing)
+      fold_index ? LazyDistanceSource::Build(
+                       input.Restrict(fold_index->representatives()),
+                       options.missing)
                  : LazyDistanceSource::Build(input, options.missing);
   if (!scan.ok()) return scan.status();
   static const std::vector<double> kUnitMultiplicities;
@@ -186,14 +173,8 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
             span_name = "shard." + std::to_string(s);
             shard_span.emplace(telemetry, span_name);
           }
-          Result<ClusteringSet> restricted =
-              RestrictInput(input, shard_objects[s]);
-          if (!restricted.ok()) {
-            errors[s] = restricted.status();
-            return;
-          }
           Result<AggregationResult> result =
-              Aggregate(*restricted, shard_options);
+              Aggregate(input.Restrict(shard_objects[s]), shard_options);
           if (!result.ok()) {
             errors[s] = result.status();
             return;

@@ -332,21 +332,8 @@ Result<CorrelationInstance> StreamAggregator::BuildInstance(
   if (!folded) {
     return CorrelationInstance::Build(input, options_.missing, dense);
   }
-  Result<CorrelationInstance> reps = CorrelationInstance::BuildSubset(
-      input, fold_index_.representatives(), options_.missing, dense);
-  if (!reps.ok()) return reps.status();
-  return CorrelationInstance::FromSource(reps->shared_source(),
-                                         options_.num_threads,
-                                         fold_index_.multiplicities());
-}
-
-Clustering StreamAggregator::FoldSolution(const Clustering& labels) const {
-  const std::vector<std::size_t>& reps = fold_index_.representatives();
-  std::vector<Clustering::Label> folded(reps.size());
-  for (std::size_t g = 0; g < reps.size(); ++g) {
-    folded[g] = labels.label(reps[g]);
-  }
-  return Clustering(std::move(folded));
+  return CorrelationInstance::BuildFolded(input, fold_index_,
+                                          options_.missing, dense);
 }
 
 Result<ClusteringSet> StreamAggregator::CurrentInput() const {
@@ -610,7 +597,7 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
       InstrumentedSpan span(telemetry, "stream.repair");
       InstrumentedTimer timer(telemetry, "stream.repair.nanos");
       const Clustering initial =
-          options_.fold ? FoldSolution(labels_) : labels_;
+          options_.fold ? fold_index_.Fold(labels_) : labels_;
       Result<ClustererRun> repaired =
           LocalSearchClusterer(options_.repair)
               .RunFromControlled(instance, initial, run);
@@ -626,7 +613,8 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
   // report without a cost would be useless.
   {
     InstrumentedSpan span(telemetry, "stream.score");
-    const Clustering scored = options_.fold ? FoldSolution(labels_) : labels_;
+    const Clustering scored =
+        options_.fold ? fold_index_.Fold(labels_) : labels_;
     Result<double> cost = instance.Cost(scored);
     if (!cost.ok()) return cost.status();
     cost_ = *cost;

@@ -290,7 +290,6 @@ class StreamAggregator {
   /// one weighted representative per signature when `folded`.
   Result<CorrelationInstance> BuildInstance(const ClusteringSet& input,
                                             bool folded) const;
-  Clustering FoldSolution(const Clustering& labels) const;
 
   StreamAggregatorOptions options_;
 

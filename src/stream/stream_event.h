@@ -37,15 +37,15 @@ struct AddObjectEvent {
 /// never reused, so a removal names the same clustering no matter how
 /// many earlier removals or window evictions happened in between.
 /// Removing an unknown or already-removed id is rejected at Ingest with
-/// kInvalidArgument — the counters are never touched.
+/// kInvalidArgument — the label columns are never touched.
 struct RemoveClusteringEvent {
   std::uint64_t id = 0;
 };
 
 /// Removes one object from the stream by its stable id (objects are
-/// numbered 0, 1, 2, ... in ingest order, ids never reused). Every
-/// surviving pair's counters are preserved exactly; only the packed
-/// triangle is compacted.
+/// numbered 0, 1, 2, ... in ingest order, ids never reused). The object
+/// leaves every label column, so every surviving pair keeps its exact
+/// X_uv.
 struct RemoveObjectEvent {
   std::uint64_t id = 0;
 };

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "core/clustering.h"
 #include "core/clustering_set.h"
@@ -147,6 +150,26 @@ TEST(ClusteringSetTest, NonContiguousLabelsBehaveLikeNormalizedTwin) {
             normalized->clustering(1).CountMissing());
   EXPECT_EQ(appended->clustering(1).labels(), raw.labels())
       << "Create must store labels verbatim, not renormalize";
+}
+
+TEST(ClusteringSetTest, RestrictKeepsOrderMissingLabelsAndWeights) {
+  const ClusteringSet input =
+      *ClusteringSet::Create({Clustering({0, 1, kMissing, 2, 1}),
+                              Clustering({3, kMissing, 3, 0, 0}),
+                              Clustering({1, 1, 0, 0, 2})},
+                             {0.1, 0.7, 0.2});
+  // Object i of the result is objects[i], in the order given.
+  const ClusteringSet restricted = input.Restrict({4, 2, 0});
+  EXPECT_EQ(restricted.clustering(0), Clustering({1, kMissing, 0}));
+  EXPECT_EQ(restricted.clustering(1), Clustering({0, 3, 3}));
+  EXPECT_EQ(restricted.clustering(2), Clustering({2, 0, 1}));
+  EXPECT_TRUE(restricted.HasMissing());
+  EXPECT_FALSE(input.Restrict({0, 3}).HasMissing());
+  EXPECT_EQ(restricted.weight(1), 0.7);
+  // The same weights summed in the same order: the very same bits.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(restricted.total_weight()),
+            std::bit_cast<std::uint64_t>(input.total_weight()));
+  EXPECT_EQ(restricted.PairwiseDistance(0, 2), input.PairwiseDistance(4, 0));
 }
 
 TEST(ClusteringSetTest, TotalDisagreementsFigure1) {

@@ -177,18 +177,9 @@ TEST(DistanceSourceTest, FoldedRepresentativeRowsMatchFullInstance) {
   ClusteringSet base = RandomInput(20, 4, 3, 67, 0.2, true);
   // Duplicate each object three times (object ids interleaved so the
   // groups are not contiguous).
-  std::vector<Clustering> clusterings;
-  std::vector<double> weights;
-  for (std::size_t i = 0; i < base.num_clusterings(); ++i) {
-    std::vector<Clustering::Label> labels(60);
-    for (std::size_t v = 0; v < 60; ++v) {
-      labels[v] = base.clustering(i).label(v % 20);
-    }
-    clusterings.emplace_back(std::move(labels));
-    weights.push_back(base.weight(i));
-  }
-  const ClusteringSet input =
-      *ClusteringSet::Create(std::move(clusterings), std::move(weights));
+  std::vector<std::size_t> copies(60);
+  for (std::size_t v = 0; v < copies.size(); ++v) copies[v] = v % 20;
+  const ClusteringSet input = base.Restrict(copies);
   const SignatureIndex signatures = SignatureIndex::Build(input);
   ASSERT_LE(signatures.num_signatures(), 20u);
   const std::vector<std::size_t>& reps = signatures.representatives();

@@ -159,19 +159,20 @@ TEST(SignatureIndexTest, TrivialWhenAllObjectsAreUnique) {
             (std::vector<double>{1.0, 1.0, 1.0, 1.0}));
 }
 
-TEST(SignatureIndexTest, BuildSubsetIndexesInSubsetSpace) {
+TEST(SignatureIndexTest, RestrictedInputIndexesInLocalSpace) {
   // Global signature structure: 0/2/4 identical, 1/3 identical.
   Clustering a({0, 1, 0, 1, 0, 2});
   const ClusteringSet input = *ClusteringSet::Create({a});
   const std::vector<std::size_t> subset = {1, 2, 4};
-  const SignatureIndex index = SignatureIndex::BuildSubset(input, subset);
+  const SignatureIndex index = SignatureIndex::Build(input.Restrict(subset));
   EXPECT_EQ(index.num_objects(), 3u);
   EXPECT_EQ(index.num_signatures(), 2u);
-  // Representatives are global ids; signature_of is subset-indexed.
-  EXPECT_EQ(index.representatives(), (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(index.signature_of(0), 0u);  // subset[0] = object 1
-  EXPECT_EQ(index.signature_of(1), 1u);  // subset[1] = object 2
-  EXPECT_EQ(index.signature_of(2), 1u);  // subset[2] = object 4
+  // Representatives and signature_of both live in the restricted input's
+  // object space: local 0 is object 1, locals 1 and 2 are objects 2 and 4.
+  EXPECT_EQ(index.representatives(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(index.signature_of(0), 0u);
+  EXPECT_EQ(index.signature_of(1), 1u);
+  EXPECT_EQ(index.signature_of(2), 1u);
   EXPECT_EQ(index.multiplicities(), (std::vector<double>{1.0, 2.0}));
 }
 
@@ -185,6 +186,58 @@ TEST(SignatureIndexTest, ExpandMapsSignatureLabelsBackToObjects) {
   const Clustering folded({0, 1, 0});
   const Clustering expanded = index.Expand(folded);
   EXPECT_EQ(expanded, Clustering({0, 1, 0, 1, 0, 0}));
+}
+
+TEST(SignatureIndexTest, FoldInvertsExpand) {
+  Clustering a({0, 1, 0, 1, 0, 2});
+  const ClusteringSet input = *ClusteringSet::Create({a});
+  const SignatureIndex index = SignatureIndex::Build(input);
+  ASSERT_EQ(index.num_signatures(), 3u);
+  // Representatives are first occurrences, so a normalized clustering of
+  // the signatures survives the round trip label for label.
+  for (const Clustering& folded :
+       {Clustering({0, 1, 0}), Clustering({0, 1, 2}), Clustering({0, 0, 0})}) {
+    EXPECT_EQ(index.Fold(index.Expand(folded)), folded);
+  }
+  // Fold reads each signature's label off its representative and keeps
+  // the labels as they are.
+  EXPECT_EQ(index.Fold(Clustering({7, 3, 7, 3, 7, 7})), Clustering({7, 3, 7}));
+}
+
+TEST(SignatureIndexTest, BuildFoldedMatchesPairwiseDistanceBitForBit) {
+  // Object g of the folded instance is representative g of the original
+  // input: its distances are float(PairwiseDistance) on the original
+  // objects under either policy, with and without weights and missing
+  // labels, on both backends; the multiplicities are the group sizes.
+  MissingValueOptions ignore;
+  ignore.policy = MissingValuePolicy::kIgnore;
+  for (const MissingValueOptions& missing :
+       {MissingValueOptions{}, ignore}) {
+    for (bool weighted : {false, true}) {
+      const ClusteringSet input =
+          NoisyDuplicatedInput(10, 3, 4, 3, 17, 0.2, weighted);
+      const SignatureIndex index = SignatureIndex::Build(input);
+      ASSERT_FALSE(index.trivial());
+      const std::vector<std::size_t>& reps = index.representatives();
+      for (DistanceBackend backend :
+           {DistanceBackend::kDense, DistanceBackend::kLazy}) {
+        Result<CorrelationInstance> folded = CorrelationInstance::BuildFolded(
+            input, index, missing, {backend, 1, {}});
+        ASSERT_TRUE(folded.ok()) << folded.status();
+        ASSERT_EQ(folded->size(), index.num_signatures());
+        EXPECT_TRUE(folded->folded());
+        EXPECT_EQ(folded->multiplicities(), index.multiplicities());
+        for (std::size_t g = 0; g < reps.size(); ++g) {
+          for (std::size_t h = 0; h < reps.size(); ++h) {
+            const float expected = static_cast<float>(
+                input.PairwiseDistance(reps[g], reps[h], missing));
+            EXPECT_EQ(folded->distance(g, h), static_cast<double>(expected))
+                << "pair (" << g << ", " << h << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------- weighted-cost identity
@@ -204,12 +257,8 @@ TEST(FoldExactnessTest, FoldedCostEqualsUnfoldedCostOfExpansion) {
         CorrelationInstance::Build(input, {}, {DistanceBackend::kDense, 0,
                                                {}});
     ASSERT_TRUE(full.ok());
-    Result<CorrelationInstance> folded_plain =
-        CorrelationInstance::BuildSubset(input, index.representatives(), {},
-                                         {DistanceBackend::kDense, 0, {}});
-    ASSERT_TRUE(folded_plain.ok());
-    Result<CorrelationInstance> folded = CorrelationInstance::FromSource(
-        folded_plain->shared_source(), 0, index.multiplicities());
+    Result<CorrelationInstance> folded = CorrelationInstance::BuildFolded(
+        input, index, {}, {DistanceBackend::kDense, 0, {}});
     ASSERT_TRUE(folded.ok());
     EXPECT_TRUE(folded->folded());
     Rng rng(7);

@@ -291,12 +291,10 @@ inline CorrelationInstance FoldedBatchInstance(
   DistanceSourceOptions options;
   options.backend = backend;
   options.num_threads = num_threads;
-  Result<std::shared_ptr<const DistanceSource>> source =
-      BuildDistanceSourceSubset(input, index.representatives(), missing,
-                                options);
-  EXPECT_TRUE(source.ok()) << source.status().message();
-  return CorrelationInstance::FromSource(std::move(source).value(),
-                                         num_threads, index.multiplicities());
+  Result<CorrelationInstance> instance =
+      CorrelationInstance::BuildFolded(input, index, missing, options);
+  EXPECT_TRUE(instance.ok()) << instance.status().message();
+  return *std::move(instance);
 }
 
 /// Folds a full-object partition to signature space by taking each

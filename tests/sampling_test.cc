@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/run_context.h"
+#include "common/telemetry.h"
+#include "core/aggregator.h"
 #include "core/agglomerative.h"
 #include "core/clustering_set.h"
 #include "core/local_search.h"
@@ -210,6 +213,20 @@ TEST(SamplingTest, HugeSingletonPoolTriggersRecursionSafely) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), n);
   EXPECT_FALSE(result->HasMissing());
+}
+
+TEST(SamplingTest, UnbudgetedRunRecordsBuildTelemetry) {
+  // A sink attached to an unlimited run must reach the sample and
+  // recluster instance builds, not only budgeted runs.
+  const ClusteringSet input = NoisyCopies(Planted(400, 4), 5, 0.15, 21);
+  Telemetry telemetry;
+  AggregatorOptions options;
+  options.algorithm = AggregationAlgorithm::kAgglomerative;
+  options.sampling_size = 60;
+  options.run = RunContext().WithTelemetry(&telemetry);
+  Result<AggregationResult> result = Aggregate(input, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GE(telemetry.counter("build.dense_builds")->value(), 1u);
 }
 
 TEST(SamplingTest, DeterministicForFixedSeed) {

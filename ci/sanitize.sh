@@ -15,6 +15,7 @@
 #   ci/sanitize.sh native                               # packed kernel
 #   ci/sanitize.sh local                                # membership oracle
 #   ci/sanitize.sh fold                                 # fold + sampling
+#   ci/sanitize.sh score                                # partition scores
 #   ci/sanitize.sh smoke                                # CLI end to end
 #
 # The smoke leg drives the shipped `clustagg` binary through every CLI

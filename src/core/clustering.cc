@@ -61,14 +61,10 @@ std::size_t Clustering::CountMissing() const {
 }
 
 std::size_t Clustering::NumClusters() const {
-  std::vector<Label> seen(labels_);
-  seen.erase(std::remove(seen.begin(), seen.end(), kMissing), seen.end());
-  std::sort(seen.begin(), seen.end());
-  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  return seen.size();
+  return Clustering(*this).Normalize();
 }
 
-void Clustering::Normalize() {
+std::size_t Clustering::Normalize() {
   std::unordered_map<Label, Label> remap;
   remap.reserve(64);
   Label next = 0;
@@ -78,6 +74,7 @@ void Clustering::Normalize() {
     if (inserted) ++next;
     label = it->second;
   }
+  return static_cast<std::size_t>(next);
 }
 
 Clustering Clustering::Normalized() const {
@@ -87,8 +84,8 @@ Clustering Clustering::Normalized() const {
 }
 
 std::vector<std::vector<std::size_t>> Clustering::Clusters() const {
-  const Clustering norm = Normalized();
-  std::vector<std::vector<std::size_t>> out(norm.NumClusters());
+  Clustering norm = *this;
+  std::vector<std::vector<std::size_t>> out(norm.Normalize());
   for (std::size_t v = 0; v < norm.size(); ++v) {
     if (norm.labels_[v] != kMissing) {
       out[static_cast<std::size_t>(norm.labels_[v])].push_back(v);
@@ -98,8 +95,8 @@ std::vector<std::vector<std::size_t>> Clustering::Clusters() const {
 }
 
 std::vector<std::size_t> Clustering::ClusterSizes() const {
-  const Clustering norm = Normalized();
-  std::vector<std::size_t> sizes(norm.NumClusters(), 0);
+  Clustering norm = *this;
+  std::vector<std::size_t> sizes(norm.Normalize(), 0);
   for (std::size_t v = 0; v < norm.size(); ++v) {
     if (norm.labels_[v] != kMissing) {
       ++sizes[static_cast<std::size_t>(norm.labels_[v])];

@@ -62,8 +62,7 @@ class Clustering {
   /// Number of missing labels. O(n).
   std::size_t CountMissing() const;
 
-  /// Number of distinct non-missing labels. O(n) (O(n log n) if labels are
-  /// not normalized).
+  /// Number of distinct non-missing labels. O(n).
   std::size_t NumClusters() const;
 
   /// True iff u and v both have labels and the labels are equal.
@@ -73,9 +72,9 @@ class Clustering {
 
   const std::vector<Label>& labels() const { return labels_; }
 
-  /// Relabels clusters to 0..k-1 in order of first appearance. Missing
-  /// labels are preserved.
-  void Normalize();
+  /// Relabels clusters to 0..k-1 in order of first appearance and returns
+  /// k. Missing labels are preserved.
+  std::size_t Normalize();
   Clustering Normalized() const;
 
   /// Member lists per cluster, in normalized label order. Missing-label

@@ -118,7 +118,7 @@ Result<double> ClusteringSet::TotalDisagreements(
   }
 
   if (missing.policy == MissingValuePolicy::kRandomCoin) {
-    // Per-clustering decomposition, still O(m * (n + K^2)). A clustering
+    // Per-clustering decomposition, O(m * (n + K_i + K)). A clustering
     // disagrees exactly (0/1) on the pairs where both endpoints have
     // labels. On a pair touching a missing label the coin reports
     // "together" with probability p, so the expected disagreement is
@@ -139,21 +139,16 @@ Result<double> ClusteringSet::TotalDisagreements(
       }
       const auto np = static_cast<double>(present.size());
       const double present_pairs = 0.5 * np * (np - 1.0);
-      const Clustering candidate_present = candidate.Restrict(present);
-      Result<std::uint64_t> d =
-          DisagreementDistance(c.Restrict(present), candidate_present);
-      if (!d.ok()) return d.status();
-      Result<std::uint64_t> together_present =
-          CoClusteredPairs(candidate_present);
-      if (!together_present.ok()) return together_present.status();
+      Result<Contingency> t = Contingency::Build(c.Restrict(present),
+                                                 candidate.Restrict(present));
+      if (!t.ok()) return t.status();
       // Pairs with a missing endpoint, split by what the candidate does.
       const double missing_pairs = all_pairs - present_pairs;
       const double missing_together =
-          static_cast<double>(*candidate_together - *together_present);
+          static_cast<double>(*candidate_together - t->ColPairs());
       const double missing_apart = missing_pairs - missing_together;
-      total += weights_[i] *
-               (static_cast<double>(*d) + missing_together * (1.0 - p) +
-                missing_apart * p);
+      total += weights_[i] * (static_cast<double>(t->Disagreements()) +
+                              missing_together * (1.0 - p) + missing_apart * p);
     }
     return total;
   }

@@ -76,8 +76,9 @@ class ClusteringSet {
   /// D(C) = sum_i d(C_i, C): the (expected) total number of pairwise
   /// disagreements of a complete candidate clustering with the inputs.
   /// With complete inputs this is an exact integer; with missing values it
-  /// is the expectation under the policy. O(m * n^2) in general; complete
-  /// inputs use the O(m * (n + K^2)) contingency path.
+  /// is the expectation under the policy. O(m * n^2) under kIgnore;
+  /// kRandomCoin takes O(m * (n + K_i + K)) time and O(n + K_i + K) memory,
+  /// K_i and K being the cluster counts of input i and of the candidate.
   Result<double> TotalDisagreements(
       const Clustering& candidate,
       const MissingValueOptions& missing = {}) const;

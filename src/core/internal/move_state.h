@@ -45,8 +45,8 @@ class MoveState {
   MoveState(const CorrelationInstance& instance, const Clustering& initial,
             const RunContext& run, bool* completed)
       : instance_(instance), n_(instance.size()), row_buf_(n_) {
-    const Clustering norm = initial.Normalized();
-    const std::size_t k = norm.NumClusters();
+    Clustering norm = initial;
+    const std::size_t k = norm.Normalize();
     w_.assign(n_, 1.0);
     if (instance.folded()) {
       for (std::size_t v = 0; v < n_; ++v) w_[v] = instance.multiplicity(v);

@@ -100,15 +100,13 @@ void ApplySubClustering(const Clustering& sub_clustering,
                         const std::vector<std::size_t>& members,
                         std::vector<Clustering::Label>* final_labels,
                         Clustering::Label* next_label) {
-  const Clustering norm = sub_clustering.Normalized();
-  Clustering::Label max_label = -1;
+  Clustering norm = sub_clustering;
+  const auto k = static_cast<Clustering::Label>(norm.Normalize());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    const Clustering::Label l = norm.label(i);
-    CLUSTAGG_CHECK(l != Clustering::kMissing);
-    (*final_labels)[members[i]] = *next_label + l;
-    max_label = std::max(max_label, l);
+    CLUSTAGG_CHECK(norm.has_label(i));
+    (*final_labels)[members[i]] = *next_label + norm.label(i);
   }
-  *next_label += max_label + 1;
+  *next_label += k;
 }
 
 /// Runs `base` on the input restricted to `subset` — folded to one

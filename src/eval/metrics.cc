@@ -8,6 +8,54 @@
 
 namespace clustagg {
 
+namespace {
+
+/// Checks the inputs of the class-label scores; returns the largest class.
+Result<std::int32_t> CheckClassLabels(
+    const Clustering& clustering,
+    const std::vector<std::int32_t>& class_labels) {
+  if (clustering.size() != class_labels.size()) {
+    return Status::InvalidArgument(
+        "clustering covers " + std::to_string(clustering.size()) +
+        " objects but there are " + std::to_string(class_labels.size()) +
+        " class labels");
+  }
+  if (clustering.HasMissing()) {
+    return Status::InvalidArgument("clustering must be complete");
+  }
+  std::int32_t max_class = -1;
+  for (std::int32_t c : class_labels) {
+    if (c < 0) return Status::InvalidArgument("class labels must be >= 0");
+    max_class = std::max(max_class, c);
+  }
+  return max_class;
+}
+
+/// Entropy in bits of a partition of n objects with the given sizes.
+double Entropy(const std::vector<std::uint64_t>& sizes, std::size_t n) {
+  double h = 0.0;
+  for (std::uint64_t s : sizes) {
+    const double p = static_cast<double>(s) / static_cast<double>(n);
+    h -= p * std::log2(p);
+  }
+  return h;
+}
+
+/// Mutual information in bits, summed in the table's (row, col) order.
+double MutualInformation(const Contingency& t) {
+  const double n = static_cast<double>(t.n);
+  double mi = 0.0;
+  for (const Contingency::Cell& cell : t.cells) {
+    const double nij = static_cast<double>(cell.count);
+    const double pi = static_cast<double>(t.rows[cell.row]);
+    const double pj = static_cast<double>(t.cols[cell.col]);
+    mi += (nij / n) * std::log2(nij * n / (pi * pj));
+  }
+  return mi;
+}
+
+}  // namespace
+
 std::size_t ConfusionMatrix::ClusterSize(std::size_t cluster) const {
   std::size_t total = 0;
   for (std::size_t c : counts[cluster]) total += c;
@@ -23,27 +71,13 @@ std::size_t ConfusionMatrix::MajorityCount(std::size_t cluster) const {
 Result<ConfusionMatrix> BuildConfusionMatrix(
     const Clustering& clustering,
     const std::vector<std::int32_t>& class_labels) {
-  if (clustering.size() != class_labels.size()) {
-    return Status::InvalidArgument(
-        "clustering covers " + std::to_string(clustering.size()) +
-        " objects but there are " + std::to_string(class_labels.size()) +
-        " class labels");
-  }
-  if (clustering.HasMissing()) {
-    return Status::InvalidArgument("clustering must be complete");
-  }
-  std::int32_t max_class = -1;
-  for (std::int32_t c : class_labels) {
-    if (c < 0) {
-      return Status::InvalidArgument("class labels must be >= 0");
-    }
-    max_class = std::max(max_class, c);
-  }
-  const Clustering norm = clustering.Normalized();
+  Result<std::int32_t> max_class = CheckClassLabels(clustering, class_labels);
+  if (!max_class.ok()) return max_class.status();
+  Clustering norm = clustering;
   ConfusionMatrix cm;
-  cm.counts.assign(norm.NumClusters(),
+  cm.counts.assign(norm.Normalize(),
                    std::vector<std::size_t>(
-                       static_cast<std::size_t>(max_class) + 1, 0));
+                       static_cast<std::size_t>(*max_class) + 1, 0));
   for (std::size_t v = 0; v < norm.size(); ++v) {
     ++cm.counts[static_cast<std::size_t>(norm.label(v))]
                [static_cast<std::size_t>(class_labels[v])];
@@ -54,92 +88,41 @@ Result<ConfusionMatrix> BuildConfusionMatrix(
 Result<double> ClassificationError(
     const Clustering& clustering,
     const std::vector<std::int32_t>& class_labels) {
-  Result<ConfusionMatrix> cm = BuildConfusionMatrix(clustering,
-                                                    class_labels);
-  if (!cm.ok()) return cm.status();
-  std::size_t misplaced = 0;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < cm->num_clusters(); ++i) {
-    const std::size_t size = cm->ClusterSize(i);
-    misplaced += size - cm->MajorityCount(i);
-    total += size;
+  Result<std::int32_t> checked = CheckClassLabels(clustering, class_labels);
+  if (!checked.ok()) return checked.status();
+  // Classes are the second partition; a row's largest cell is its majority.
+  Result<Contingency> t =
+      Contingency::Build(clustering, Clustering(class_labels));
+  if (!t.ok()) return t.status();
+  if (t->n == 0) return 0.0;
+  std::vector<std::uint64_t> majority(t->rows.size(), 0);
+  for (const Contingency::Cell& cell : t->cells) {
+    majority[cell.row] = std::max(majority[cell.row], cell.count);
   }
-  if (total == 0) return 0.0;
-  return static_cast<double>(misplaced) / static_cast<double>(total);
+  std::uint64_t misplaced = t->n;
+  for (std::uint64_t m : majority) misplaced -= m;
+  return static_cast<double>(misplaced) / static_cast<double>(t->n);
 }
 
 Result<double> RandIndex(const Clustering& a, const Clustering& b) {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("clusterings cover different sizes");
-  }
-  const std::size_t n = a.size();
-  if (n < 2) return 1.0;
   Result<std::uint64_t> d = DisagreementDistance(a, b);
   if (!d.ok()) return d.status();
+  const std::size_t n = a.size();
+  if (n < 2) return 1.0;
   const double pairs = 0.5 * static_cast<double>(n) *
                        static_cast<double>(n - 1);
   return 1.0 - static_cast<double>(*d) / pairs;
 }
 
-namespace {
-
-/// Contingency table of two complete normalized clusterings plus
-/// marginals; shared by ARI and NMI.
-struct Contingency {
-  std::vector<std::uint64_t> sizes_a;
-  std::vector<std::uint64_t> sizes_b;
-  std::vector<std::uint64_t> joint;  // ka x kb row-major
-  std::size_t ka = 0;
-  std::size_t kb = 0;
-  std::size_t n = 0;
-};
-
-Result<Contingency> BuildContingency(const Clustering& a,
-                                     const Clustering& b) {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument("clusterings cover different sizes");
-  }
-  if (a.HasMissing() || b.HasMissing()) {
-    return Status::InvalidArgument("clusterings must be complete");
-  }
-  const Clustering na = a.Normalized();
-  const Clustering nb = b.Normalized();
-  Contingency t;
-  t.n = na.size();
-  t.ka = na.NumClusters();
-  t.kb = nb.NumClusters();
-  t.sizes_a.assign(t.ka, 0);
-  t.sizes_b.assign(t.kb, 0);
-  t.joint.assign(t.ka * t.kb, 0);
-  for (std::size_t v = 0; v < t.n; ++v) {
-    const auto ca = static_cast<std::size_t>(na.label(v));
-    const auto cb = static_cast<std::size_t>(nb.label(v));
-    ++t.sizes_a[ca];
-    ++t.sizes_b[cb];
-    ++t.joint[ca * t.kb + cb];
-  }
-  return t;
-}
-
-double Choose2Sum(const std::vector<std::uint64_t>& counts) {
-  double total = 0.0;
-  for (std::uint64_t c : counts) {
-    total += 0.5 * static_cast<double>(c) * static_cast<double>(c - 1);
-  }
-  return total;
-}
-
-}  // namespace
-
 Result<double> AdjustedRandIndex(const Clustering& a, const Clustering& b) {
-  Result<Contingency> t = BuildContingency(a, b);
+  Result<Contingency> t = Contingency::Build(a, b);
   if (!t.ok()) return t.status();
   if (t->n < 2) return 1.0;
   const double pairs = 0.5 * static_cast<double>(t->n) *
                        static_cast<double>(t->n - 1);
-  const double sum_joint = Choose2Sum(t->joint);
-  const double sum_a = Choose2Sum(t->sizes_a);
-  const double sum_b = Choose2Sum(t->sizes_b);
+  const double sum_joint = static_cast<double>(t->CellPairs());
+  const double sum_a = static_cast<double>(t->RowPairs());
+  const double sum_b = static_cast<double>(t->ColPairs());
   const double expected = sum_a * sum_b / pairs;
   const double max_index = 0.5 * (sum_a + sum_b);
   if (max_index == expected) return 1.0;  // both trivial partitions
@@ -148,59 +131,20 @@ Result<double> AdjustedRandIndex(const Clustering& a, const Clustering& b) {
 
 Result<double> NormalizedMutualInformation(const Clustering& a,
                                            const Clustering& b) {
-  Result<Contingency> t = BuildContingency(a, b);
+  Result<Contingency> t = Contingency::Build(a, b);
   if (!t.ok()) return t.status();
-  const double n = static_cast<double>(t->n);
-  double mi = 0.0;
-  for (std::size_t i = 0; i < t->ka; ++i) {
-    for (std::size_t j = 0; j < t->kb; ++j) {
-      const double nij = static_cast<double>(t->joint[i * t->kb + j]);
-      if (nij == 0.0) continue;
-      const double pi = static_cast<double>(t->sizes_a[i]);
-      const double pj = static_cast<double>(t->sizes_b[j]);
-      mi += (nij / n) * std::log2(nij * n / (pi * pj));
-    }
-  }
-  auto entropy = [n](const std::vector<std::uint64_t>& sizes) {
-    double h = 0.0;
-    for (std::uint64_t s : sizes) {
-      if (s == 0) continue;
-      const double p = static_cast<double>(s) / n;
-      h -= p * std::log2(p);
-    }
-    return h;
-  };
-  const double ha = entropy(t->sizes_a);
-  const double hb = entropy(t->sizes_b);
+  const double ha = Entropy(t->rows, t->n);
+  const double hb = Entropy(t->cols, t->n);
   if (ha == 0.0 || hb == 0.0) return 0.0;
-  return mi / std::sqrt(ha * hb);
+  return MutualInformation(*t) / std::sqrt(ha * hb);
 }
 
 Result<double> VariationOfInformation(const Clustering& a,
                                       const Clustering& b) {
-  Result<Contingency> t = BuildContingency(a, b);
+  Result<Contingency> t = Contingency::Build(a, b);
   if (!t.ok()) return t.status();
-  const double n = static_cast<double>(t->n);
-  double mi = 0.0;
-  for (std::size_t i = 0; i < t->ka; ++i) {
-    for (std::size_t j = 0; j < t->kb; ++j) {
-      const double nij = static_cast<double>(t->joint[i * t->kb + j]);
-      if (nij == 0.0) continue;
-      const double pi = static_cast<double>(t->sizes_a[i]);
-      const double pj = static_cast<double>(t->sizes_b[j]);
-      mi += (nij / n) * std::log2(nij * n / (pi * pj));
-    }
-  }
-  auto entropy = [n](const std::vector<std::uint64_t>& sizes) {
-    double h = 0.0;
-    for (std::uint64_t s : sizes) {
-      if (s == 0) continue;
-      const double p = static_cast<double>(s) / n;
-      h -= p * std::log2(p);
-    }
-    return h;
-  };
-  const double vi = entropy(t->sizes_a) + entropy(t->sizes_b) - 2.0 * mi;
+  const double vi = Entropy(t->rows, t->n) + Entropy(t->cols, t->n) -
+                    2.0 * MutualInformation(*t);
   return std::max(vi, 0.0);  // clamp floating-point negatives
 }
 

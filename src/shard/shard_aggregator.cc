@@ -245,7 +245,7 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
     offset += local_max + 1;
   }
   Clustering stitched{std::move(labels)};
-  stitched.Normalize();
+  const std::size_t clusters = stitched.Normalize();
   out.clustering = std::move(stitched);
 
   InstrumentedSpan score_span(telemetry, "score");
@@ -254,7 +254,7 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   if (!disagreements.ok()) return disagreements.status();
   out.total_disagreements = *disagreements;
   TelemetrySetGauge(telemetry, "aggregate.clusters",
-                    static_cast<std::int64_t>(out.clustering.NumClusters()));
+                    static_cast<std::int64_t>(clusters));
   return out;
 }
 

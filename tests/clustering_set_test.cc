@@ -243,5 +243,48 @@ TEST_P(MissingCoinConsistencyTest, FastPathMatchesPairwiseSum) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MissingCoinConsistencyTest,
                          ::testing::Range(1, 11));
 
+// Golden pin for TotalDisagreements: fixed seeded weighted inputs and the
+// exact bit patterns of the total, on complete inputs and, under
+// kRandomCoin, with missing labels. The total adds one weighted term per
+// input in input order, so the pin fixes that order too.
+TEST(ClusteringSetTest, TotalDisagreementsGoldenBits) {
+  const std::size_t n = 300;
+  const std::vector<double> weights = {0.7, 1.3, 2.1, 0.45, 1.0};
+  Rng rng(2005);
+  std::vector<Clustering> complete;
+  std::vector<Clustering> with_missing;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const std::size_t k = 2 + 3 * i;
+    std::vector<Clustering::Label> labels(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      labels[v] = static_cast<Clustering::Label>(rng.NextBounded(k));
+    }
+    complete.emplace_back(labels);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (rng.NextBernoulli(0.2)) labels[v] = kMissing;
+    }
+    with_missing.emplace_back(std::move(labels));
+  }
+  std::vector<Clustering::Label> cand(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    cand[v] = static_cast<Clustering::Label>(rng.NextBounded(6));
+  }
+  const Clustering candidate(std::move(cand));
+
+  Result<ClusteringSet> full = ClusteringSet::Create(complete, weights);
+  Result<ClusteringSet> partial = ClusteringSet::Create(with_missing, weights);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(partial.ok());
+  MissingValueOptions biased;
+  biased.coin_together_probability = 0.3;
+  auto bits = [](Result<double> x) {
+    return std::bit_cast<std::uint64_t>(*x);
+  };
+  EXPECT_EQ(bits(full->TotalDisagreements(candidate)), 0x40f14d2666666666u);
+  EXPECT_EQ(bits(partial->TotalDisagreements(candidate)), 0x40f63af199999999u);
+  EXPECT_EQ(bits(partial->TotalDisagreements(candidate, biased)),
+            0x40f33b73851eb852u);
+}
+
 }  // namespace
 }  // namespace clustagg

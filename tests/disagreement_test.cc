@@ -3,6 +3,7 @@
 // metric properties the paper relies on (Observation 1).
 
 #include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -104,10 +105,37 @@ TEST_P(DisagreementAgreementTest, FastMatchesNaive) {
   }
 }
 
+// Labels drawn near INT32_MAX: normalization, not the label values,
+// must decide the table's shape.
+TEST_P(DisagreementAgreementTest, LabelsNearInt32MaxMatchNaive) {
+  const auto [n, k] = GetParam();
+  Rng rng(n * 137 + k);
+  constexpr Clustering::Label kTop =
+      std::numeric_limits<Clustering::Label>::max();
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<Clustering::Label> la(n);
+    std::vector<Clustering::Label> lb(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      la[v] = kTop - static_cast<Clustering::Label>(rng.NextBounded(k));
+      lb[v] = kTop - static_cast<Clustering::Label>(rng.NextBounded(k));
+    }
+    const Clustering a(std::move(la));
+    const Clustering b(std::move(lb));
+    EXPECT_EQ(*DisagreementDistance(a, b), *DisagreementDistanceNaive(a, b));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sizes, DisagreementAgreementTest,
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 5, 17, 64),
                        ::testing::Values<std::size_t>(1, 2, 3, 8)));
+
+// High cardinality, k >= n: most clusters are singletons, so a dense
+// ka x kb table would outgrow the input.
+INSTANTIATE_TEST_SUITE_P(
+    HighCardinality, DisagreementAgreementTest,
+    ::testing::Combine(::testing::Values<std::size_t>(17, 64, 200),
+                       ::testing::Values<std::size_t>(200, 4096, 1 << 20)));
 
 // Metric properties on random clusterings.
 class DisagreementMetricTest : public ::testing::TestWithParam<int> {};

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "eval/metrics.h"
 
@@ -193,6 +196,53 @@ TEST(MetricsTest, AllRejectSizeMismatch) {
   EXPECT_FALSE(AdjustedRandIndex(a, b).ok());
   EXPECT_FALSE(NormalizedMutualInformation(a, b).ok());
   EXPECT_FALSE(VariationOfInformation(a, b).ok());
+}
+
+// Golden pin for the floating-point partition scores: fixed seeded
+// partitions and the exact bit patterns of every score. NMI and VI add
+// one floating-point term per nonzero contingency cell, so the pin also
+// fixes the (row, col) order in which the table yields its cells. The
+// first partition's labels are spread out so that normalization has to
+// relabel them; the second doubles as the class labels.
+TEST(MetricsTest, GoldenBitsOfEveryScore) {
+  struct Case {
+    std::size_t n;
+    std::size_t ka;
+    std::size_t kb;
+    std::uint64_t ari;
+    std::uint64_t nmi;
+    std::uint64_t vi;
+    std::uint64_t error;
+  };
+  const Case cases[] = {
+      {500, 8, 8, 0xbf71e30d8b7c862c, 0x3f925d0a32ee8375,
+       0x4017794da482574e, 0x3fea4dd2f1a9fbe7},
+      {300, 40, 6, 0xbf7ad48088109db9, 0x3fbf97f9ff342544,
+       0x401b9634e2b79509, 0x3fe51eb851eb851f},
+      {1000, 3, 12, 0xbf4e12f735d2335f, 0x3f73d0ade011fa9f,
+       0x40148eec1e7165fb, 0x3fec83126e978d50},
+      {64, 200, 150, 0xbf7c0e070381c0e0, 0x3fed9af5357051e2,
+       0x3feac1404eadf380, 0x3fc6000000000000},
+  };
+  auto bits = [](Result<double> x) {
+    return std::bit_cast<std::uint64_t>(*x);
+  };
+  Rng rng(2005);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.n);
+    std::vector<Clustering::Label> la(c.n);
+    std::vector<std::int32_t> lb(c.n);
+    for (std::size_t v = 0; v < c.n; ++v) {
+      la[v] = static_cast<Clustering::Label>(rng.NextBounded(c.ka) * 7919);
+      lb[v] = static_cast<std::int32_t>(rng.NextBounded(c.kb));
+    }
+    const Clustering a(std::move(la));
+    const Clustering b(lb);
+    EXPECT_EQ(bits(AdjustedRandIndex(a, b)), c.ari);
+    EXPECT_EQ(bits(NormalizedMutualInformation(a, b)), c.nmi);
+    EXPECT_EQ(bits(VariationOfInformation(a, b)), c.vi);
+    EXPECT_EQ(bits(ClassificationError(a, lb)), c.error);
+  }
 }
 
 }  // namespace

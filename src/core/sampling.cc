@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <new>
 #include <optional>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,77 +20,156 @@ namespace clustagg {
 
 namespace {
 
-/// Precomputed per-(cluster, input-clustering) label histograms that turn
-/// the assignment-phase sum M(v, C_j) = sum_{u in C_j} X_vu into an O(m)
-/// lookup instead of an O(|C_j| * m) scan:
-///   sum_{u in C_j} [label_i(u) != label_i(v)]
-///     = present_{i,j} - count_{i,j}[label_i(v)],
-/// plus the expected (1 - p) per member without a label under the coin
-/// policy. Only valid for MissingValuePolicy::kRandomCoin (the kIgnore
-/// policy normalizes per pair and does not decompose).
+/// The assignment phase's M(v, C_j) = sum_{u in C_j} X_vu for every
+/// sample cluster j at once, under MissingValuePolicy::kRandomCoin (the
+/// kIgnore policy normalizes per pair and does not decompose). Clustering
+/// i adds
+///   w_i * ((present_ij - same_ij) + (1 - p) * missing_ij)
+/// to total_weight * M(v, C_j), where present_ij and missing_ij count the
+/// members of C_j with and without a label in clustering i and same_ij
+/// those sharing v's label; an unlabeled v adds w_i * (1 - p) * |C_j|.
+/// The term depends on v only through label_i(v), so it is precomputed as
+/// one k-wide row per label the sample's members carry, one shared row
+/// for a label the sample never saw (same = 0) and one for a missing
+/// label. An object then costs one label lookup and one k-wide add per
+/// clustering; the rows are added in clustering order from 0.0 and
+/// divided last, the same float operations as summing the terms per
+/// cluster. The table holds k * sum_i (L_i + 2) doubles, L_i <= sample
+/// size being clustering i's distinct sample labels.
 class AssignmentIndex {
  public:
-  AssignmentIndex(const ClusteringSet& input,
-                  const std::vector<std::vector<std::size_t>>& clusters,
-                  double coin_together_probability)
-      : input_(input),
-        num_clusterings_(input.num_clusterings()),
-        expected_missing_(1.0 - coin_together_probability) {
-    const std::size_t k = clusters.size();
-    sizes_.resize(k);
-    missing_.assign(k, std::vector<double>(num_clusterings_, 0.0));
-    counts_.assign(k, std::vector<std::unordered_map<Clustering::Label,
-                                                     double>>(
-                          num_clusterings_));
+  static Result<AssignmentIndex> Build(
+      const ClusteringSet& input,
+      const std::vector<std::vector<std::size_t>>& clusters,
+      double coin_together_probability, const RunContext& run) {
+    AssignmentIndex index;
+    index.input_ = &input;
+    index.k_ = clusters.size();
+    const std::size_t m = input.num_clusterings();
+    std::size_t sampled = 0;
+    for (const std::vector<std::size_t>& members : clusters) {
+      sampled += members.size();
+    }
+    unsigned bits = 1;
+    while ((std::size_t{1} << bits) < 2 * sampled) ++bits;
+    index.rows_.resize(m);
+    std::size_t rows = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const Clustering& c = input.clustering(i);
+      LabelRows& map = index.rows_[i];
+      map.slots.assign(std::size_t{1} << bits, {Clustering::kMissing, 0});
+      map.shift = 64 - bits;
+      map.first = rows;
+      rows += 2;
+      for (const std::vector<std::size_t>& members : clusters) {
+        for (std::size_t u : members) {
+          if (!c.has_label(u)) continue;
+          LabelRows::Slot& slot = map.slots[map.Probe(c.label(u))];
+          if (slot.label == Clustering::kMissing) slot = {c.label(u), rows++};
+        }
+      }
+      map.end = rows;
+    }
+    const std::size_t k = index.k_;
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    const bool overflows = rows > kMax / k / sizeof(double);
+    const Status too_large = Status::ResourceExhausted(
+        "cannot allocate the SAMPLING cost table of " + std::to_string(rows) +
+        " rows by " + std::to_string(k) + " clusters; use a smaller sample");
+    if (overflows || run.SimulateAllocationFailure(rows * k * sizeof(double))) {
+      return too_large;
+    }
+    try {
+      index.table_.assign(rows * k, 0.0);
+    } catch (const std::bad_alloc&) {
+      return too_large;
+    }
+
+    // Count: a label row gathers the members carrying that label and the
+    // missing row those without one; the unseen row keeps same = 0.
     for (std::size_t j = 0; j < k; ++j) {
-      sizes_[j] = static_cast<double>(clusters[j].size());
-      for (std::size_t i = 0; i < num_clusterings_; ++i) {
-        const Clustering& c = input.clustering(i);
-        for (std::size_t u : clusters[j]) {
-          if (c.has_label(u)) {
-            counts_[j][i][c.label(u)] += 1.0;
-          } else {
-            missing_[j][i] += 1.0;
-          }
+      for (std::size_t u : clusters[j]) {
+        for (std::size_t i = 0; i < m; ++i) {
+          index.table_[index.RowOf(i, u) * k + j] += 1.0;
         }
       }
     }
-    // (Per-clustering weights are applied in M(); the histograms hold
-    // raw member counts.)
+    // Weigh: each count becomes its clustering's weighted term.
+    const double expected_missing = 1.0 - coin_together_probability;
+    for (std::size_t i = 0; i < m; ++i) {
+      const double weight = input.weight(i);
+      const LabelRows& map = index.rows_[i];
+      for (std::size_t j = 0; j < k; ++j) {
+        const double size = static_cast<double>(clusters[j].size());
+        double& missing_cell = index.table_[map.first * k + j];
+        const double missing = missing_cell;
+        const double present = size - missing;
+        missing_cell = weight * (expected_missing * size);
+        for (std::size_t r = map.first + 1; r < map.end; ++r) {
+          double& same = index.table_[r * k + j];
+          same = weight * ((present - same) + expected_missing * missing);
+        }
+      }
+    }
+    return index;
   }
 
-  /// M(v, C_j) under the coin policy.
-  double M(std::size_t v, std::size_t j) const {
-    double total = 0.0;
-    for (std::size_t i = 0; i < num_clusterings_; ++i) {
-      const Clustering& c = input_.clustering(i);
-      const double present = sizes_[j] - missing_[j][i];
-      double contribution;
-      if (!c.has_label(v)) {
-        // v is unlabeled: the coin applies against every member.
-        contribution = expected_missing_ * sizes_[j];
-      } else {
-        double same = 0.0;
-        const auto it = counts_[j][i].find(c.label(v));
-        if (it != counts_[j][i].end()) same = it->second;
-        contribution =
-            (present - same) + expected_missing_ * missing_[j][i];
-      }
-      total += input_.weight(i) * contribution;
+  /// Writes M(v, C_j) to out[j] for every sample cluster j.
+  void Costs(std::size_t v, double* out) const {
+    std::fill(out, out + k_, 0.0);
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      const double* row = &table_[RowOf(i, v) * k_];
+      for (std::size_t j = 0; j < k_; ++j) out[j] += row[j];
     }
-    return total / input_.total_weight();
+    const double total_weight = input_->total_weight();
+    for (std::size_t j = 0; j < k_; ++j) out[j] /= total_weight;
   }
 
  private:
-  const ClusteringSet& input_;
-  std::size_t num_clusterings_;
-  double expected_missing_;
-  std::vector<double> sizes_;
-  // missing_[cluster][clustering] = members without a label.
-  std::vector<std::vector<double>> missing_;
-  // counts_[cluster][clustering][label] = members with that label.
-  std::vector<std::vector<std::unordered_map<Clustering::Label, double>>>
-      counts_;
+  /// Clustering i's rows of the table: `first` for a missing label,
+  /// first + 1 for a label the sample never saw, then one per sample
+  /// label up to `end`, found through an open-addressing table kept at
+  /// most half full (linear probing from a multiplicative hash; an empty
+  /// slot holds kMissing).
+  struct LabelRows {
+    struct Slot {
+      Clustering::Label label;
+      std::size_t row;
+    };
+    std::vector<Slot> slots;
+    unsigned shift = 0;
+    std::size_t first = 0;
+    std::size_t end = 0;
+
+    /// The slot holding `label`, or the empty slot where it would go.
+    std::size_t Probe(Clustering::Label label) const {
+      std::size_t slot = static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(label)) *
+           0x9e3779b97f4a7c15ull) >> shift);
+      while (slots[slot].label != label &&
+             slots[slot].label != Clustering::kMissing) {
+        slot = (slot + 1) & (slots.size() - 1);
+      }
+      return slot;
+    }
+  };
+
+  AssignmentIndex() = default;
+
+  /// Row of object v's label in clustering i.
+  std::size_t RowOf(std::size_t i, std::size_t v) const {
+    const LabelRows& map = rows_[i];
+    const Clustering::Label label = input_->clustering(i).label(v);
+    if (label == Clustering::kMissing) return map.first;
+    const LabelRows::Slot& slot = map.slots[map.Probe(label)];
+    return slot.label == label ? slot.row : map.first + 1;
+  }
+
+  const ClusteringSet* input_ = nullptr;
+  std::size_t k_ = 0;
+  std::vector<LabelRows> rows_;
+  // table_[row * k_ + j] for sample cluster j.
+  std::vector<double> table_;
 };
 
 /// Relabels `final_labels[member]` for each object of `sub_clustering`
@@ -241,13 +320,15 @@ Result<ClustererRun> SamplingAggregateControlled(
   std::vector<bool> in_sample(n, false);
   for (std::size_t v : sample) in_sample[v] = true;
 
-  // Histogram index for the fast O(m)-per-cluster path (coin policy).
-  const bool use_index =
-      opts.missing.policy == MissingValuePolicy::kRandomCoin;
-  std::unique_ptr<AssignmentIndex> index;
-  if (use_index) {
-    index = std::make_unique<AssignmentIndex>(
-        input, clusters, opts.missing.coin_together_probability);
+  // Cost table for the coin policy; every object sampled leaves nothing
+  // to assign.
+  std::optional<AssignmentIndex> index;
+  if (opts.missing.policy == MissingValuePolicy::kRandomCoin &&
+      sample.size() < n) {
+    Result<AssignmentIndex> built = AssignmentIndex::Build(
+        input, clusters, opts.missing.coin_together_probability, run);
+    if (!built.ok()) return built.status();
+    index.emplace(std::move(built).value());
   }
 
   std::vector<std::size_t> singleton_objects;
@@ -267,18 +348,20 @@ Result<ClustererRun> SamplingAggregateControlled(
       singleton_objects.push_back(v);
       continue;
     }
-    double t = 0.0;
-    for (std::size_t j = 0; j < clusters.size(); ++j) {
-      double mj = 0.0;
-      if (use_index) {
-        mj = index->M(v, j);
-      } else {
+    if (index) {
+      index->Costs(v, m_row.data());
+    } else {
+      for (std::size_t j = 0; j < clusters.size(); ++j) {
+        double mj = 0.0;
         for (std::size_t u : clusters[j]) {
           mj += input.PairwiseDistance(v, u, options.missing);
         }
+        m_row[j] = mj;
       }
-      m_row[j] = mj;
-      t += static_cast<double>(clusters[j].size()) - mj;
+    }
+    double t = 0.0;
+    for (std::size_t j = 0; j < clusters.size(); ++j) {
+      t += static_cast<double>(clusters[j].size()) - m_row[j];
     }
     double best_cost = t;  // fresh singleton
     std::size_t best = clusters.size();

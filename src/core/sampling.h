@@ -61,9 +61,15 @@ struct SamplingStats {
 /// The SAMPLING meta-algorithm (Section 4.1): aggregate a uniform sample
 /// with `base`, assign every non-sampled object to the cluster of the
 /// sample minimizing the correlation cost (or to a singleton), then
-/// collect all singletons and aggregate them again with `base`. Pre- and
-/// post-processing are O(n * sample_size * m); only the sample pays the
-/// quadratic cost.
+/// collect all singletons and aggregate them again with `base`. Under
+/// kRandomCoin the assignment reads a cost table of k * sum_i (L_i + 2)
+/// doubles (k sample clusters, L_i <= sample_size distinct sample labels
+/// of clustering i; at most 8 * m * (sample_size + 2) * sample_size
+/// bytes) built in O(m * sample_size + k * sum_i L_i), then takes O(m * k)
+/// per object: one hashed label lookup and one k-wide add per input.
+/// kIgnore pays O(sample_size * m) per object. Only the sample pays the
+/// quadratic cost. A cost table too large to allocate is
+/// ResourceExhausted.
 Result<Clustering> SamplingAggregate(const ClusteringSet& input,
                                      const CorrelationClusterer& base,
                                      const SamplingOptions& options = {},

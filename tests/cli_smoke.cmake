@@ -168,9 +168,10 @@ if(NOT rc EQUAL 0 OR NOT err MATCHES "aggregated 3 clusterings")
 endif()
 
 # Unknown flags and malformed values are InvalidArgument (exit 2), never
-# silently ignored or read as 0.
+# silently ignored or read as 0. --coin-p is a probability: 7 would make
+# expected disagreements negative.
 foreach(bad "--algoritm;pivot" "--threads;abc" "--threads;-3"
-            "--alpha;xyz")
+            "--alpha;xyz" "--coin-p;7" "--coin-p;-0.5")
   execute_process(COMMAND ${CLI} aggregate --csv ${WORK}/votes.csv
                   --class-column class ${bad}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)

@@ -17,6 +17,7 @@
 #include "core/correlation_instance.h"
 #include "core/distance_source.h"
 #include "core/fault_injection.h"
+#include "core/sampling.h"
 
 namespace clustagg {
 namespace {
@@ -202,6 +203,46 @@ TEST(AllocationFaultTest, AgglomerativeWorkingMatrixFailure) {
       AgglomerativeClusterer().RunControlled(*instance, run);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(AllocationFaultTest, SamplingCostTableReportsResourceExhausted) {
+  // Every input gives every object a label of its own, so the sample
+  // clusters into s singletons and each input carries s sample labels:
+  // the assignment cost table holds s * m * (s + 2) doubles, more than
+  // any matrix the sample phase asks for. A hook refusing only that
+  // request turns the run into ResourceExhausted, never an abort.
+  const std::size_t n = 400;
+  const std::size_t m = 3;
+  const std::size_t s = 40;
+  std::vector<Clustering::Label> unique(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    unique[v] = static_cast<Clustering::Label>(v);
+  }
+  const ClusteringSet input =
+      *ClusteringSet::Create(std::vector<Clustering>(m, Clustering(unique)));
+  SamplingOptions options;
+  options.sample_size = s;
+
+  std::atomic<std::size_t> refused{0};
+  RunContext run = RunContext::Cancellable();
+  FaultHooks hooks;
+  hooks.fail_allocation = [&refused, s](std::size_t bytes) {
+    if (bytes <= s * (s - 1) / 2 * sizeof(double)) return false;
+    refused.store(bytes);
+    return true;
+  };
+  run.set_fault_hooks(hooks);
+  Result<ClustererRun> result = SamplingAggregateControlled(
+      input, AgglomerativeClusterer(), run, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(refused.load(), s * m * (s + 2) * sizeof(double));
+
+  // Without the fault the same run completes.
+  Result<ClustererRun> unfaulted = SamplingAggregateControlled(
+      input, AgglomerativeClusterer(), RunContext::Cancellable(), options);
+  ASSERT_TRUE(unfaulted.ok());
+  EXPECT_EQ(unfaulted->clustering.size(), n);
 }
 
 // ------------------------------------------------ exact → balls chain

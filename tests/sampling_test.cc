@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "common/telemetry.h"
@@ -240,6 +245,162 @@ TEST(SamplingTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->labels(), b->labels());
+}
+
+// An iteration budget that fires mid-assignment: the assignment polls
+// every 16 objects, so the runs stop at the same object, tag it
+// kDeadlineExceeded and leave every unsampled object from the cutoff on
+// a singleton (the re-clustering phase is skipped).
+TEST(SamplingTest, IterationBudgetCutsTheAssignmentAtAPoll) {
+  const std::size_t n = 2000;
+  const ClusteringSet input = NoisyCopies(Planted(n, 4), 5, 0.05, 3);
+  SamplingOptions options;
+  options.sample_size = 100;
+  options.seed = 8;
+  auto run_once = [&] {
+    Result<ClustererRun> result = SamplingAggregateControlled(
+        input, AgglomerativeClusterer(),
+        RunContext::WithIterationBudget(1000), options);
+    CLUSTAGG_CHECK(result.ok());
+    return std::move(result).value();
+  };
+  const ClustererRun first = run_once();
+  const ClustererRun second = run_once();
+  EXPECT_EQ(first.outcome, RunOutcome::kDeadlineExceeded);
+  EXPECT_EQ(second.outcome, RunOutcome::kDeadlineExceeded);
+  EXPECT_EQ(first.clustering.labels(), second.clustering.labels());
+
+  // The uniform sample, drawn as SAMPLING draws it.
+  std::vector<bool> in_sample(n, false);
+  for (std::size_t v : Rng(options.seed).SampleWithoutReplacement(
+           n, options.sample_size)) {
+    in_sample[v] = true;
+  }
+  const std::vector<std::size_t> sizes = first.clustering.ClusterSizes();
+  auto singleton = [&](std::size_t v) {
+    return sizes[static_cast<std::size_t>(first.clustering.label(v))] == 1;
+  };
+  // The cutoff: the first unsampled object from which on every unsampled
+  // object is a singleton.
+  std::size_t cutoff = n;
+  while (cutoff > 0 && (in_sample[cutoff - 1] || singleton(cutoff - 1))) {
+    --cutoff;
+  }
+  while (cutoff < n && in_sample[cutoff]) ++cutoff;
+  ASSERT_LT(cutoff, n);
+  // A poll boundary, and the one the sample phase's charges plus 16 per
+  // poll reach: a different poll cadence moves it.
+  EXPECT_EQ(cutoff % 16, 0u);
+  EXPECT_EQ(cutoff, 848u);
+  std::size_t assigned = 0;
+  for (std::size_t v = 0; v < cutoff; ++v) {
+    if (!in_sample[v] && !singleton(v)) ++assigned;
+  }
+  EXPECT_GT(assigned, 0u);
+}
+
+/// FNV-1a over a clustering's labels: one number pinning the whole vector.
+std::uint64_t LabelHash(const Clustering& c) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (Clustering::Label label : c.labels()) {
+    h ^= static_cast<std::uint32_t>(label);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// (label hash, bit pattern of the total disagreement) of one run.
+using Bits = std::pair<std::uint64_t, std::uint64_t>;
+
+/// SAMPLING with AGGLOMERATIVE under `missing`, pinned as Bits.
+Bits SampledBits(const ClusteringSet& input, std::size_t sample_size,
+                 const MissingValueOptions& missing) {
+  SamplingOptions options;
+  options.sample_size = sample_size;
+  options.seed = 11;
+  options.missing = missing;
+  Result<Clustering> result =
+      SamplingAggregate(input, AgglomerativeClusterer(), options);
+  EXPECT_TRUE(result.ok());
+  if (!result.ok()) return {0, 0};
+  Result<double> total = input.TotalDisagreements(*result, missing);
+  EXPECT_TRUE(total.ok());
+  if (!total.ok()) return {0, 0};
+  return {LabelHash(*result), std::bit_cast<std::uint64_t>(*total)};
+}
+
+// Golden pin for the assignment phase under kRandomCoin: label hashes and
+// total-disagreement bits of fixed seeded runs. Each M(v, C_j) adds one
+// weighted term per input in input order; the weights are decimal
+// fractions (0.1 + 0.2 != 0.3 in binary), so summing the inputs in
+// reverse order flips a near-tie of the p = 0.3 run and breaks its pin.
+TEST(SamplingTest, AssignmentGoldenBits) {
+  const std::size_t n = 1500;
+  const std::vector<double> weights = {0.1, 0.2, 0.3, 0.6, 0.7, 1.3};
+  MissingValueOptions fair;
+  MissingValueOptions biased;
+  biased.coin_together_probability = 0.3;
+
+  // Non-unit weights over noisy copies of six planted groups with 20%
+  // of the labels missing.
+  {
+    Rng rng(2005);
+    std::vector<Clustering> inputs;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      std::vector<Clustering::Label> labels(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        labels[v] = static_cast<Clustering::Label>(
+            rng.NextBernoulli(0.3) ? rng.NextBounded(6) : v % 6);
+        if (rng.NextBernoulli(0.2)) labels[v] = Clustering::kMissing;
+      }
+      inputs.emplace_back(std::move(labels));
+    }
+    const ClusteringSet input = *ClusteringSet::Create(inputs, weights);
+    EXPECT_EQ(SampledBits(input, 90, fair),
+              (Bits{0x3343453ac7e575bdu, 0x412b46929999999au}));
+    EXPECT_EQ(SampledBits(input, 90, biased),
+              (Bits{0xef9ef312ba523f33u, 0x412499baae147ae1u}));
+  }
+
+  // A singleton-heavy sample: labels are nearly unique per input, so
+  // the sample clusters are mostly singletons (k close to the sample
+  // size) and every sample label gets a cost row of its own.
+  {
+    Rng rng(77);
+    std::vector<Clustering> inputs;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      std::vector<Clustering::Label> labels(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        labels[v] = static_cast<Clustering::Label>(
+            i < 3 ? v / (i + 2) : rng.NextBounded(5000));
+      }
+      inputs.emplace_back(std::move(labels));
+    }
+    const ClusteringSet input = *ClusteringSet::Create(inputs, weights);
+    EXPECT_EQ(SampledBits(input, 120, fair),
+              (Bits{0x0d2f9ef472ff5f17u, 0x4099320000000000u}));
+  }
+
+  // Labels near INT32_MAX, with missing labels.
+  {
+    constexpr Clustering::Label kTop =
+        std::numeric_limits<Clustering::Label>::max();
+    Rng rng(4242);
+    std::vector<Clustering> inputs;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      std::vector<Clustering::Label> labels(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        labels[v] = kTop - static_cast<Clustering::Label>(
+                               rng.NextBernoulli(0.25) ? rng.NextBounded(8)
+                                                       : v % 5);
+        if (rng.NextBernoulli(0.1)) labels[v] = Clustering::kMissing;
+      }
+      inputs.emplace_back(std::move(labels));
+    }
+    const ClusteringSet input = *ClusteringSet::Create(inputs, weights);
+    EXPECT_EQ(SampledBits(input, 80, biased),
+              (Bits{0xc769cc8e2aeaa039u, 0x4120211bb851eb85u}));
+  }
 }
 
 }  // namespace

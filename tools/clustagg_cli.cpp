@@ -388,10 +388,18 @@ Result<ClusteringSet> ReadInputSet(const Flags& flags) {
 }
 
 /// The missing-value flags shared by aggregate, stream and query.
-MissingValueOptions ParseMissingFlags(const Flags& flags) {
+/// --coin-p is a probability: a value outside [0, 1] would make expected
+/// disagreements negative, so it is InvalidArgument (exit 2).
+Result<MissingValueOptions> ParseMissingFlags(const Flags& flags) {
   MissingValueOptions missing;
   missing.policy = flags.Choice("missing", MissingValuePolicy::kRandomCoin);
   missing.coin_together_probability = flags.Number("coin-p", 0.5);
+  if (!(missing.coin_together_probability >= 0.0 &&
+        missing.coin_together_probability <= 1.0)) {
+    return Status::InvalidArgument("--coin-p: expected a probability in "
+                                   "[0, 1], got '" + flags.Get("coin-p") +
+                                   "'");
+  }
   return missing;
 }
 
@@ -412,7 +420,9 @@ Result<AggregatorOptions> ParseAggregatorFlags(const Flags& flags) {
   options.annealing.seed = options.sampling.seed;
   options.pivot.repetitions =
       flags.Int("pivot-repetitions", options.pivot.repetitions);
-  options.missing = ParseMissingFlags(flags);
+  Result<MissingValueOptions> missing = ParseMissingFlags(flags);
+  if (!missing.ok()) return missing.status();
+  options.missing = *missing;
   options.backend = flags.Choice("backend", DistanceBackend::kDense);
   options.num_threads = flags.Int("threads", 0);
   options.fold = flags.Has("fold");
@@ -746,7 +756,8 @@ int CmdQuery(const Flags& flags) {
   LocalOracleOptions options;
   options.seed = flags.Int("seed", 1);
   options.join_threshold = flags.Number("threshold", 0.5);
-  const MissingValueOptions missing = ParseMissingFlags(flags);
+  const Result<MissingValueOptions> missing = ParseMissingFlags(flags);
+  if (!missing.ok()) return Fail(missing.status());
 
   // Backend: lazy is the natural serving substrate (O(n*m) memory, no
   // quadratic build before the first answer) and the only one that
@@ -762,15 +773,15 @@ int CmdQuery(const Flags& flags) {
             "--backend dense");
       }
       Result<std::shared_ptr<const DenseDistanceSource>> source =
-          DenseDistanceSource::Build(*input, missing);
+          DenseDistanceSource::Build(*input, *missing);
       if (!source.ok()) return source.status();
       return LocalMembershipOracle::Create(*std::move(source), options);
     }
     if (flags.Has("fold")) {
-      return LocalMembershipOracle::FromClusteringsFolded(*input, missing,
+      return LocalMembershipOracle::FromClusteringsFolded(*input, *missing,
                                                           options);
     }
-    return LocalMembershipOracle::FromClusterings(*input, missing, options);
+    return LocalMembershipOracle::FromClusterings(*input, *missing, options);
   }();
   if (!oracle.ok()) return Fail(oracle.status());
 

@@ -157,7 +157,7 @@ SymmetricMatrix<float> LegacyRowWiseBuild(const LegacyColumns& cols,
   const std::size_t n = cols.n;
   const std::size_t threads =
       EffectiveRowThreads(n, ResolveThreadCount(num_threads));
-  ParallelForRowsCancellable(
+  ParallelForRows(
       n, threads, RunContext(), [&](std::size_t u, std::size_t) {
         if (u + 1 >= n) return;
         float* row = packed.data() + distances.PackedIndex(u, u + 1);

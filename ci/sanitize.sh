@@ -16,6 +16,7 @@
 #   ci/sanitize.sh local                                # membership oracle
 #   ci/sanitize.sh fold                                 # fold + sampling
 #   ci/sanitize.sh score                                # partition scores
+#   ci/sanitize.sh rows                                 # row walks
 #   ci/sanitize.sh smoke                                # CLI end to end
 #
 # The smoke leg drives the shipped `clustagg` binary through every CLI
@@ -43,6 +44,11 @@
 # the ones that only run after something already went wrong, so they
 # get the least organic coverage. The full suite still runs sanitized
 # in the heavyweight job; these legs are the fast ones.
+#
+# The rows leg covers the one parallel loop and the row walks built on
+# it: every whole-instance reduction and clusterer row scan shares
+# per-thread scratch rows across the loop's workers, so its TSan pass
+# certifies that each row's writes stay disjoint.
 #
 # On top of the label legs, every invocation runs a fixed eviction pin
 # (`ctest -R 'Window|Evict|Removal|window_smoke'`): the

@@ -34,38 +34,6 @@ inline std::size_t EffectiveRowThreads(std::size_t rows,
   return std::min(resolved == 0 ? std::size_t{1} : resolved, rows);
 }
 
-/// Runs fn(row, thread_id) for every row in [0, rows). Rows are handed
-/// out dynamically in chunks (row work shrinks along a packed triangle),
-/// so the schedule is load-balanced. Callers must keep fn's writes
-/// disjoint per row; results are then independent of the schedule, which
-/// is what makes every parallel reduction in the library deterministic
-/// across thread counts. Serial (thread_id 0) when num_threads <= 1.
-template <typename Fn>
-void ParallelForRows(std::size_t rows, std::size_t num_threads, Fn&& fn) {
-  if (rows == 0) return;
-  if (num_threads > rows) num_threads = rows;
-  if (num_threads <= 1) {
-    for (std::size_t u = 0; u < rows; ++u) fn(u, std::size_t{0});
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  const std::size_t chunk =
-      std::max<std::size_t>(1, rows / (num_threads * 8));
-  auto worker = [&](std::size_t thread_id) {
-    for (;;) {
-      const std::size_t begin = next.fetch_add(chunk);
-      if (begin >= rows) return;
-      const std::size_t end = std::min(rows, begin + chunk);
-      for (std::size_t u = begin; u < end; ++u) fn(u, thread_id);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(num_threads - 1);
-  for (std::size_t t = 1; t < num_threads; ++t) pool.emplace_back(worker, t);
-  worker(0);
-  for (std::thread& t : pool) t.join();
-}
-
 #if defined(CLUSTAGG_TELEMETRY_ENABLED)
 namespace internal {
 
@@ -103,33 +71,33 @@ struct RowLoopRecorder {
 }  // namespace internal
 #endif  // CLUSTAGG_TELEMETRY_ENABLED
 
-/// Cooperative variant: polls `run` once per claimed chunk (serial mode:
-/// every chunk of 16 rows) and stops handing out rows when it fires.
-/// Each processed row charges one work unit against the run's iteration
-/// budget. Returns true when every row was processed, false when the
-/// loop was interrupted — interrupted results are *partial* and the
-/// caller must either discard them or fall back to a degraded answer.
-/// fn has the same disjoint-writes contract as ParallelForRows.
+/// Runs fn(row, thread_id) for every row in [0, rows). Rows are handed
+/// out dynamically in chunks (row work shrinks along a packed triangle),
+/// so the schedule is load-balanced. Callers must keep fn's writes
+/// disjoint per row; results are then independent of the schedule, which
+/// is what makes every parallel reduction in the library deterministic
+/// across thread counts. Serial (thread_id 0) when num_threads <= 1.
+///
+/// The loop polls `run` once per claimed chunk (serial mode: every chunk
+/// of 16 rows) and stops handing out rows when it fires. Each processed
+/// row charges one work unit against the run's iteration budget. Returns
+/// true when every row was processed, false when the loop was
+/// interrupted — interrupted results are *partial* and the caller must
+/// either discard them or fall back to a degraded answer. An unlimited
+/// run (RunContext()) polls a null pointer and always returns true.
 ///
 /// When the run carries a Telemetry sink, each worker records the rows
 /// it processed and its busy time (`parallel.threadK.rows` /
 /// `.busy_nanos` counters) plus the shared per-block latency histogram
 /// `parallel.row_block_nanos`.
 template <typename Fn>
-bool ParallelForRowsCancellable(std::size_t rows, std::size_t num_threads,
-                                const RunContext& run, Fn&& fn) {
+bool ParallelForRows(std::size_t rows, std::size_t num_threads,
+                     const RunContext& run, Fn&& fn) {
 #if defined(CLUSTAGG_TELEMETRY_ENABLED)
   Telemetry* telemetry = run.telemetry();
-#else
-  constexpr void* telemetry = nullptr;
 #endif
-  if (run.unlimited() && telemetry == nullptr) {
-    ParallelForRows(rows, num_threads, std::forward<Fn>(fn));
-    return true;
-  }
   if (rows == 0) return true;
   if (num_threads > rows) num_threads = rows;
-  std::atomic<bool> stopped{false};
   if (num_threads <= 1) {
 #if defined(CLUSTAGG_TELEMETRY_ENABLED)
     const internal::RowLoopRecorder recorder(telemetry, 0);
@@ -150,6 +118,7 @@ bool ParallelForRowsCancellable(std::size_t rows, std::size_t num_threads,
     }
     return true;
   }
+  std::atomic<bool> stopped{false};
   std::atomic<std::size_t> next{0};
   const std::size_t chunk =
       std::max<std::size_t>(1, rows / (num_threads * 8));

@@ -107,6 +107,12 @@ RunOutcome RunContext::Poll() const {
   return RunOutcome::kConverged;
 }
 
+RunOutcome RunContext::InterruptOutcome() const {
+  const RunOutcome outcome = Poll();
+  return outcome == RunOutcome::kConverged ? RunOutcome::kDeadlineExceeded
+                                           : outcome;
+}
+
 Status RunContext::StopStatus(RunOutcome outcome) const {
   switch (outcome) {
     case RunOutcome::kCancelled:

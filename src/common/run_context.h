@@ -120,6 +120,17 @@ class RunContext {
   /// usable partial result). CHECK-fails on kConverged/kFellBack.
   Status StopStatus(RunOutcome outcome) const;
 
+  /// The outcome to tag a best-so-far answer with after a loop reported
+  /// an interrupt: Poll(), except that kConverged reads as
+  /// kDeadlineExceeded. Limits only tighten on their own, but a setter
+  /// may have lifted the one that fired; the loop still stopped early,
+  /// so the answer is never tagged converged.
+  RunOutcome InterruptOutcome() const;
+
+  /// StopStatus(InterruptOutcome()): the status of a pass that must be
+  /// abandoned after its loop reported an interrupt.
+  Status InterruptStatus() const { return StopStatus(InterruptOutcome()); }
+
   /// True when `status` is the interrupt of a budgeted run (kCancelled /
   /// kDeadlineExceeded) rather than a real error.
   static bool IsInterrupt(const Status& status) {

@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
-
 namespace clustagg {
 
 Result<ClustererRun> AgglomerativeClusterer::RunControlled(
@@ -39,27 +37,18 @@ Result<ClustererRun> AgglomerativeClusterer::RunControlled(
     // Materialize the lazy rows in parallel; each row of the triangle is
     // a disjoint slice of the packed store. This is the O(n^2 m) part,
     // so it polls.
-    auto& out = working.packed();
-    const std::size_t threads = EffectiveRowThreads(
-        n, ResolveThreadCount(instance.num_threads()));
-    std::vector<std::vector<double>> rows(threads, std::vector<double>(n));
-    materialized = ParallelForRowsCancellable(
-        n, threads, run, [&](std::size_t u, std::size_t tid) {
-          if (u + 1 >= n) return;
-          std::vector<double>& row = rows[tid];
-          instance.FillRow(u, row);
-          double* tail = out.data() + working.PackedIndex(u, u + 1);
-          for (std::size_t v = u + 1; v < n; ++v) tail[v - u - 1] = row[v];
+    double* out = working.packed().data();
+    materialized = instance.ForEachUpperRow(
+        run, [&](std::size_t u, auto tail) {
+          std::copy(tail, tail + (n - u - 1),
+                    out + working.PackedIndex(u, u + 1));
         });
   }
   if (!materialized) {
     // A half-filled working matrix would merge on garbage distances;
     // the pre-merge state (all singletons) is the valid best-so-far.
-    RunOutcome outcome = run.Poll();
-    if (outcome == RunOutcome::kConverged) {
-      outcome = RunOutcome::kDeadlineExceeded;
-    }
-    return ClustererRun{Clustering::AllSingletons(n), outcome};
+    return ClustererRun{Clustering::AllSingletons(n),
+                        run.InterruptOutcome()};
   }
 
   RunOutcome outcome = RunOutcome::kConverged;

@@ -29,11 +29,8 @@ Result<ClustererRun> AnnealingClusterer::RunControlled(
   internal::MoveState state(instance, Clustering::AllSingletons(n), run,
                             &state_built);
   if (!state_built) {
-    RunOutcome outcome = run.Poll();
-    if (outcome == RunOutcome::kConverged) {
-      outcome = RunOutcome::kDeadlineExceeded;
-    }
-    return ClustererRun{Clustering::AllSingletons(n), outcome};
+    return ClustererRun{Clustering::AllSingletons(n),
+                        run.InterruptOutcome()};
   }
 
   // Propose: relocate a random object to a random other cluster or to a

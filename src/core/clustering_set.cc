@@ -8,6 +8,16 @@
 
 namespace clustagg {
 
+Status MissingValueOptions::Validate() const {
+  if (!(coin_together_probability >= 0.0 &&
+        coin_together_probability <= 1.0)) {
+    return Status::InvalidArgument(
+        "coin_together_probability must lie in [0, 1], got " +
+        std::to_string(coin_together_probability));
+  }
+  return Status::OK();
+}
+
 ClusteringSet::ClusteringSet(std::vector<Clustering> clusterings,
                              std::vector<double> weights)
     : clusterings_(std::move(clusterings)), weights_(std::move(weights)) {
@@ -104,6 +114,7 @@ Result<double> ClusteringSet::TotalDisagreements(
     return Status::InvalidArgument(
         "candidate clustering must be complete (no missing labels)");
   }
+  if (Status s = missing.Validate(); !s.ok()) return s;
 
   if (!has_missing_ && missing.policy == MissingValuePolicy::kRandomCoin) {
     // Fast exact path: weighted sum of contingency-table distances.

@@ -27,6 +27,12 @@ struct MissingValueOptions {
   MissingValuePolicy policy = MissingValuePolicy::kRandomCoin;
   /// Coin bias for kRandomCoin: probability of reporting "co-clustered".
   double coin_together_probability = 0.5;
+
+  /// InvalidArgument unless coin_together_probability lies in [0, 1]
+  /// (NaN included), whatever the policy: outside it X leaves [0, 1] and
+  /// expected disagreements can go negative. Both DistanceSource Build
+  /// functions and ClusteringSet::TotalDisagreements check it.
+  Status Validate() const;
 };
 
 /// An immutable collection of m clusterings over the same n objects — the
@@ -70,6 +76,8 @@ class ClusteringSet {
 
   /// X_uv: the (expected) fraction of input clusterings that place u and v
   /// in different clusters, under the given missing-value policy. O(m).
+  /// A per-pair query that returns no Status: `missing` must pass
+  /// MissingValueOptions::Validate, or X may leave [0, 1].
   double PairwiseDistance(std::size_t u, std::size_t v,
                           const MissingValueOptions& missing = {}) const;
 
@@ -79,6 +87,7 @@ class ClusteringSet {
   /// is the expectation under the policy. O(m * n^2) under kIgnore;
   /// kRandomCoin takes O(m * (n + K_i + K)) time and O(n + K_i + K) memory,
   /// K_i and K being the cluster counts of input i and of the candidate.
+  /// InvalidArgument when `missing` fails MissingValueOptions::Validate.
   Result<double> TotalDisagreements(
       const Clustering& candidate,
       const MissingValueOptions& missing = {}) const;

@@ -1,37 +1,14 @@
 #include "core/correlation_instance.h"
 
 #include <algorithm>
-#include <cmath>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "core/instrumentation.h"
 
 namespace clustagg {
-
-namespace {
-
-/// Threads worth spawning for this instance's row-parallel reductions.
-std::size_t ReductionThreads(std::size_t rows, std::size_t requested) {
-  return EffectiveRowThreads(rows, ResolveThreadCount(requested));
-}
-
-/// Scratch rows, one per thread, for backends without O(1) row access.
-std::vector<std::vector<double>> ThreadRows(std::size_t threads,
-                                            std::size_t n) {
-  return std::vector<std::vector<double>>(threads, std::vector<double>(n));
-}
-
-/// The interrupt status after ParallelForRowsCancellable returned false.
-Status InterruptStatus(const RunContext& run) {
-  const RunOutcome outcome = run.Poll();
-  return outcome == RunOutcome::kConverged
-             ? Status::DeadlineExceeded("run interrupted")
-             : run.StopStatus(outcome);
-}
-
-}  // namespace
 
 Result<CorrelationInstance> CorrelationInstance::FromDistances(
     SymmetricMatrix<float> distances) {
@@ -82,6 +59,10 @@ CorrelationInstance CorrelationInstance::FromSource(
                              std::move(multiplicities));
 }
 
+std::vector<double> CorrelationInstance::Weights() const {
+  return folded() ? multiplicities_ : std::vector<double>(size(), 1.0);
+}
+
 Result<double> CorrelationInstance::Cost(const Clustering& candidate,
                                          const RunContext& run) const {
   const std::size_t n = size();
@@ -100,63 +81,21 @@ Result<double> CorrelationInstance::Cost(const Clustering& candidate,
   // Each row's pairs (u, v > u) are summed sequentially in ascending v
   // into row_cost[u]; the rows are then reduced in ascending u. Both
   // orders are fixed, so the result is bit-identical for every thread
-  // count and backend. Folded instances weight pair (u, v) by
-  // mult[u] * mult[v]: each folded pair stands for that many original
-  // pairs at the same distance.
-  const double* mult =
-      multiplicities_.empty() ? nullptr : multiplicities_.data();
+  // count and backend. Pair (u, v) is weighted by w[u] * w[v]: a folded
+  // pair stands for that many original pairs at the same distance.
+  const std::vector<double> w = Weights();
   std::vector<double> row_cost(n, 0.0);
-  const std::size_t threads = ReductionThreads(n, num_threads_);
-  bool completed;
-  if (dense_ != nullptr) {
-    const std::vector<float>& packed = dense_->packed();
-    completed = ParallelForRowsCancellable(
-        n, threads, run, [&](std::size_t u, std::size_t) {
-          if (u + 1 >= n) return;
-          const float* tail = packed.data() + dense_->PackedIndex(u, u + 1);
-          const Clustering::Label lu = candidate.label(u);
-          double cost = 0.0;
-          if (mult == nullptr) {
-            for (std::size_t v = u + 1; v < n; ++v) {
-              const double x = tail[v - u - 1];
-              cost += lu == candidate.label(v) ? x : 1.0 - x;
-            }
-          } else {
-            const double wu = mult[u];
-            for (std::size_t v = u + 1; v < n; ++v) {
-              const double x = tail[v - u - 1];
-              cost += (lu == candidate.label(v) ? x : 1.0 - x) *
-                      (wu * mult[v]);
-            }
-          }
-          row_cost[u] = cost;
-        });
-  } else {
-    std::vector<std::vector<double>> rows = ThreadRows(threads, n);
-    completed = ParallelForRowsCancellable(
-        n, threads, run, [&](std::size_t u, std::size_t tid) {
-          if (u + 1 >= n) return;
-          std::vector<double>& row = rows[tid];
-          source_->FillRow(u, row);
-          const Clustering::Label lu = candidate.label(u);
-          double cost = 0.0;
-          if (mult == nullptr) {
-            for (std::size_t v = u + 1; v < n; ++v) {
-              const double x = row[v];
-              cost += lu == candidate.label(v) ? x : 1.0 - x;
-            }
-          } else {
-            const double wu = mult[u];
-            for (std::size_t v = u + 1; v < n; ++v) {
-              const double x = row[v];
-              cost += (lu == candidate.label(v) ? x : 1.0 - x) *
-                      (wu * mult[v]);
-            }
-          }
-          row_cost[u] = cost;
-        });
-  }
-  if (!completed) return InterruptStatus(run);
+  const bool completed = ForEachUpperRow(run, [&](std::size_t u, auto tail) {
+    const Clustering::Label lu = candidate.label(u);
+    const double wu = w[u];
+    double cost = 0.0;
+    for (std::size_t v = u + 1; v < n; ++v) {
+      const double x = tail[v - u - 1];
+      cost += (lu == candidate.label(v) ? x : 1.0 - x) * (wu * w[v]);
+    }
+    row_cost[u] = cost;
+  });
+  if (!completed) return run.InterruptStatus();
   double cost = 0.0;
   for (double c : row_cost) cost += c;
   return cost;
@@ -164,6 +103,7 @@ Result<double> CorrelationInstance::Cost(const Clustering& candidate,
 
 double CorrelationInstance::LowerBound() const {
   Result<double> bound = LowerBound(RunContext());
+  // The unlimited context never interrupts, and nothing else fails.
   CLUSTAGG_CHECK(bound.ok());
   return *bound;
 }
@@ -171,55 +111,18 @@ double CorrelationInstance::LowerBound() const {
 Result<double> CorrelationInstance::LowerBound(const RunContext& run) const {
   const std::size_t n = size();
   if (n == 0) return 0.0;
-  const double* mult =
-      multiplicities_.empty() ? nullptr : multiplicities_.data();
+  const std::vector<double> w = Weights();
   std::vector<double> row_bound(n, 0.0);
-  const std::size_t threads = ReductionThreads(n, num_threads_);
-  bool completed;
-  if (dense_ != nullptr) {
-    const std::vector<float>& packed = dense_->packed();
-    completed = ParallelForRowsCancellable(
-        n, threads, run, [&](std::size_t u, std::size_t) {
-          if (u + 1 >= n) return;
-          const float* tail = packed.data() + dense_->PackedIndex(u, u + 1);
-          double bound = 0.0;
-          if (mult == nullptr) {
-            for (std::size_t v = u + 1; v < n; ++v) {
-              const float x = tail[v - u - 1];
-              bound += std::min<double>(x, 1.0 - static_cast<double>(x));
-            }
-          } else {
-            const double wu = mult[u];
-            for (std::size_t v = u + 1; v < n; ++v) {
-              const float x = tail[v - u - 1];
-              bound += std::min<double>(x, 1.0 - static_cast<double>(x)) *
-                       (wu * mult[v]);
-            }
-          }
-          row_bound[u] = bound;
-        });
-  } else {
-    std::vector<std::vector<double>> rows = ThreadRows(threads, n);
-    completed = ParallelForRowsCancellable(
-        n, threads, run, [&](std::size_t u, std::size_t tid) {
-          if (u + 1 >= n) return;
-          std::vector<double>& row = rows[tid];
-          source_->FillRow(u, row);
-          double bound = 0.0;
-          if (mult == nullptr) {
-            for (std::size_t v = u + 1; v < n; ++v) {
-              bound += std::min(row[v], 1.0 - row[v]);
-            }
-          } else {
-            const double wu = mult[u];
-            for (std::size_t v = u + 1; v < n; ++v) {
-              bound += std::min(row[v], 1.0 - row[v]) * (wu * mult[v]);
-            }
-          }
-          row_bound[u] = bound;
-        });
-  }
-  if (!completed) return InterruptStatus(run);
+  const bool completed = ForEachUpperRow(run, [&](std::size_t u, auto tail) {
+    const double wu = w[u];
+    double bound = 0.0;
+    for (std::size_t v = u + 1; v < n; ++v) {
+      const double x = tail[v - u - 1];
+      bound += std::min(x, 1.0 - x) * (wu * w[v]);
+    }
+    row_bound[u] = bound;
+  });
+  if (!completed) return run.InterruptStatus();
   double bound = 0.0;
   for (double b : row_bound) bound += b;
   return bound;
@@ -227,6 +130,7 @@ Result<double> CorrelationInstance::LowerBound(const RunContext& run) const {
 
 std::vector<double> CorrelationInstance::TotalIncidentWeights() const {
   Result<std::vector<double>> weights = TotalIncidentWeights(RunContext());
+  // The unlimited context never interrupts, and nothing else fails.
   CLUSTAGG_CHECK(weights.ok());
   return std::move(weights).value();
 }
@@ -236,66 +140,17 @@ Result<std::vector<double>> CorrelationInstance::TotalIncidentWeights(
   const std::size_t n = size();
   std::vector<double> weights(n, 0.0);
   if (n == 0) return weights;
-  // weights[u] sums its full row in ascending v, the same association
-  // order the serial packed scan produced (pairs (v, u), v < u, arrive
-  // before pairs (u, v), v > u). Folded instances weight column v by
-  // mult[v]: each folded neighbor stands for that many originals at the
-  // same distance.
-  const double* mult =
-      multiplicities_.empty() ? nullptr : multiplicities_.data();
-  const std::size_t threads = ReductionThreads(n, num_threads_);
-  bool completed;
-  if (dense_ != nullptr) {
-    const float* packed = dense_->packed().data();
-    completed = ParallelForRowsCancellable(
-        n, threads, run, [&](std::size_t u, std::size_t) {
-          double total = 0.0;
-          // Column u of the strict upper triangle by packed stride (see
-          // DenseDistanceSource::FillRow): same values, same ascending-v
-          // order, one addition per element instead of a packed-index
-          // multiply.
-          std::size_t idx = u - 1;  // PackedIndex(0, u) when u > 0
-          if (mult == nullptr) {
-            for (std::size_t v = 0; v < u; ++v) {
-              total += packed[idx];
-              idx += n - v - 2;
-            }
-            if (u + 1 < n) {
-              const float* tail = packed + dense_->PackedIndex(u, u + 1);
-              for (std::size_t v = u + 1; v < n; ++v) {
-                total += tail[v - u - 1];
-              }
-            }
-          } else {
-            for (std::size_t v = 0; v < u; ++v) {
-              total += mult[v] * packed[idx];
-              idx += n - v - 2;
-            }
-            if (u + 1 < n) {
-              const float* tail = packed + dense_->PackedIndex(u, u + 1);
-              for (std::size_t v = u + 1; v < n; ++v) {
-                total += mult[v] * tail[v - u - 1];
-              }
-            }
-          }
-          weights[u] = total;
-        });
-  } else {
-    std::vector<std::vector<double>> rows = ThreadRows(threads, n);
-    completed = ParallelForRowsCancellable(
-        n, threads, run, [&](std::size_t u, std::size_t tid) {
-          std::vector<double>& row = rows[tid];
-          source_->FillRow(u, row);
-          double total = 0.0;
-          if (mult == nullptr) {
-            for (std::size_t v = 0; v < n; ++v) total += row[v];
-          } else {
-            for (std::size_t v = 0; v < n; ++v) total += mult[v] * row[v];
-          }
-          weights[u] = total;
-        });
-  }
-  if (!completed) return InterruptStatus(run);
+  // weights[u] sums its full row in ascending v (X_uu = 0 adds nothing).
+  // Column v is weighted by w[v]: a folded neighbor stands for that many
+  // originals at the same distance.
+  const std::vector<double> w = Weights();
+  const bool completed =
+      ForEachRow(run, [&](std::size_t u, std::span<const double> row) {
+        double total = 0.0;
+        for (std::size_t v = 0; v < n; ++v) total += w[v] * row[v];
+        weights[u] = total;
+      });
+  if (!completed) return run.InterruptStatus();
   return weights;
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/run_context.h"
 #include "common/status.h"
 #include "common/symmetric_matrix.h"
@@ -29,8 +30,10 @@ namespace clustagg {
 /// (packed float matrix, O(n^2/2) memory, O(1) queries) or lazy (O(n*m)
 /// memory, O(m) queries). Both backends answer bit-identically, so every
 /// algorithm produces the same output whichever one carries the data.
-/// Whole-instance reductions (Cost, LowerBound, TotalIncidentWeights) run
-/// row-parallel with a deterministic, thread-count-independent summation.
+/// Whole-instance passes (Cost, LowerBound, TotalIncidentWeights and the
+/// clusterers' own row scans) go through ForEachRow / ForEachUpperRow:
+/// row-parallel, with a deterministic, thread-count-independent
+/// summation.
 class CorrelationInstance {
  public:
   CorrelationInstance() = default;
@@ -44,7 +47,8 @@ class CorrelationInstance {
   /// the missing-value policy, carried by the backend chosen in
   /// `options`. Dense construction is O(m n^2 / threads) and fails with
   /// ResourceExhausted when the triangle cannot be allocated; lazy
-  /// construction is O(n m).
+  /// construction is O(n m). Both fail with InvalidArgument when
+  /// `missing` fails MissingValueOptions::Validate.
   static Result<CorrelationInstance> Build(
       const ClusteringSet& input, const MissingValueOptions& missing = {},
       const DistanceSourceOptions& options = {});
@@ -72,9 +76,9 @@ class CorrelationInstance {
   /// every pair (u, v) by multiplicities[u] * multiplicities[v] in Cost /
   /// LowerBound and every column by multiplicities[v] in
   /// TotalIncidentWeights, so optimizing the folded instance optimizes
-  /// the original objective. With all-ones multiplicities the weighted
-  /// arithmetic is bit-identical to the unweighted path (multiplying by
-  /// 1.0 is exact).
+  /// the original objective. An unfolded instance runs the same weighted
+  /// arithmetic with weights of exactly 1.0, so its sums are those of the
+  /// plain unweighted formula (multiplying by 1.0 is exact).
   static CorrelationInstance FromSource(
       std::shared_ptr<const DistanceSource> source,
       std::size_t num_threads = 0, std::vector<double> multiplicities = {});
@@ -91,6 +95,50 @@ class CorrelationInstance {
   /// Bulk query: writes X_uv into row[v] for every v in [0, n).
   void FillRow(std::size_t u, std::span<double> row) const {
     source_->FillRow(u, row);
+  }
+
+  /// Calls fn(u, row) for every object u, where `row` (a
+  /// std::span<const double> of n entries) holds X_u* as FillRow writes
+  /// it. The row is a per-thread scratch buffer, valid during the call
+  /// only. Rows run in parallel on this instance's threads under `run`,
+  /// with the contract of ParallelForRows: fn's writes must be disjoint
+  /// per row, and false is returned when `run` interrupted the pass.
+  template <typename Fn>
+  bool ForEachRow(const RunContext& run, Fn&& fn) const {
+    const std::size_t n = size();
+    std::vector<std::vector<double>> rows(RowThreads(),
+                                          std::vector<double>(n));
+    return ParallelForRows(
+        n, rows.size(), run, [&](std::size_t u, std::size_t tid) {
+          source_->FillRow(u, rows[tid]);
+          fn(u, std::span<const double>(rows[tid]));
+        });
+  }
+
+  /// Calls fn(u, tail) for every u < n - 1, where tail[i] = X_{u,u+1+i}
+  /// for i < n - u - 1: row u of the strict upper triangle. A dense
+  /// instance hands out its packed `const float*` tail in place; other
+  /// backends hand out `const double*` into a FillRow scratch row. Write
+  /// fn with an `auto tail` parameter to serve both. Same parallel and
+  /// interrupt contract as ForEachRow.
+  template <typename Fn>
+  bool ForEachUpperRow(const RunContext& run, Fn&& fn) const {
+    const std::size_t n = size();
+    if (dense_ != nullptr) {
+      const float* packed = dense_->packed().data();
+      return ParallelForRows(
+          n, RowThreads(), run, [&](std::size_t u, std::size_t) {
+            if (u + 1 < n) fn(u, packed + dense_->PackedIndex(u, u + 1));
+          });
+    }
+    std::vector<std::vector<double>> rows(RowThreads(),
+                                          std::vector<double>(n));
+    return ParallelForRows(
+        n, rows.size(), run, [&](std::size_t u, std::size_t tid) {
+          if (u + 1 >= n) return;
+          source_->FillRow(u, rows[tid]);
+          fn(u, static_cast<const double*>(rows[tid].data() + u + 1));
+        });
   }
 
   /// Correlation-clustering cost of a complete candidate partition.
@@ -137,10 +185,6 @@ class CorrelationInstance {
     return source_ ? source_->name() : "dense";
   }
 
-  /// The thread knob this instance was built with (0 = hardware
-  /// concurrency), reused by its parallel reductions.
-  std::size_t num_threads() const { return num_threads_; }
-
   /// True when this instance carries fold multiplicities (see
   /// FromSource). Folded instances must be scored with the weighted
   /// reductions; clusterers read `multiplicity` to weight their own
@@ -159,6 +203,15 @@ class CorrelationInstance {
   }
 
  private:
+  /// Threads worth using for one pass over the n rows.
+  std::size_t RowThreads() const {
+    return EffectiveRowThreads(size(), ResolveThreadCount(num_threads_));
+  }
+
+  /// The per-object weights of the reductions: the multiplicities, or n
+  /// exact 1.0s when the instance is unfolded.
+  std::vector<double> Weights() const;
+
   CorrelationInstance(std::shared_ptr<const DistanceSource> source,
                       std::size_t num_threads,
                       std::vector<double> multiplicities = {})
@@ -170,6 +223,7 @@ class CorrelationInstance {
   std::shared_ptr<const DistanceSource> source_;
   /// Borrowed from source_ when dense: devirtualized hot-path reads.
   const SymmetricMatrix<float>* dense_ = nullptr;
+  /// Thread knob of the row walks (0 = one per hardware core).
   std::size_t num_threads_ = 0;
   /// Fold multiplicities (empty = every object counts once).
   std::vector<double> multiplicities_;

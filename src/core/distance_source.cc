@@ -218,7 +218,7 @@ Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
   }
   band_start.push_back(n);
   const std::size_t num_bands = band_start.size() - 1;
-  const bool completed = ParallelForRowsCancellable(
+  const bool completed = ParallelForRows(
       num_bands, threads, run, [&](std::size_t band, std::size_t) {
         const std::size_t u0 = band_start[band];
         const std::size_t u1 = band_start[band + 1];
@@ -250,12 +250,7 @@ Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
           }
         }
       });
-  if (!completed) {
-    const RunOutcome outcome = run.Poll();
-    return outcome == RunOutcome::kConverged
-               ? Status::DeadlineExceeded("dense build interrupted")
-               : run.StopStatus(outcome);
-  }
+  if (!completed) return run.InterruptStatus();
   return std::make_shared<const DenseDistanceSource>(std::move(distances));
 }
 
@@ -290,6 +285,7 @@ void DistanceSource::AgreementRow(std::size_t u,
 Result<std::shared_ptr<const DenseDistanceSource>> DenseDistanceSource::Build(
     const ClusteringSet& input, const MissingValueOptions& missing,
     std::size_t num_threads, const RunContext& run) {
+  if (Status s = missing.Validate(); !s.ok()) return s;
   return BuildDenseFromColumns(MakeColumns(input, missing), num_threads,
                                run);
 }
@@ -352,6 +348,7 @@ LazyDistanceSource::~LazyDistanceSource() = default;
 
 Result<std::shared_ptr<const LazyDistanceSource>> LazyDistanceSource::Build(
     const ClusteringSet& input, const MissingValueOptions& missing) {
+  if (Status s = missing.Validate(); !s.ok()) return s;
   return std::shared_ptr<const LazyDistanceSource>(
       new LazyDistanceSource(std::make_unique<internal::DistanceColumns>(
           MakeColumns(input, missing))));

@@ -80,8 +80,9 @@ class DistanceSource {
   virtual void AgreementRow(std::size_t u, std::span<char> agree) const;
 
   /// The packed matrix when this source is dense, nullptr otherwise.
-  /// Consumers with a tight inner loop (local search, agglomerative
-  /// merging) use this to devirtualize the hot path.
+  /// CorrelationInstance (distance() and ForEachUpperRow) and
+  /// AGGLOMERATIVE's widen read it directly instead of going through
+  /// the virtual calls.
   virtual const SymmetricMatrix<float>* dense_matrix() const {
     return nullptr;
   }
@@ -104,8 +105,9 @@ class DenseDistanceSource final : public DistanceSource {
   /// X_uv = (expected) fraction of clusterings separating u and v under
   /// the missing-value policy. O(m n^2 / threads) time; fails with
   /// ResourceExhausted when the packed triangle cannot be allocated (or
-  /// when `run`'s fault hooks say it should), and with Cancelled /
-  /// DeadlineExceeded when `run` fires mid-fill.
+  /// when `run`'s fault hooks say it should), with Cancelled /
+  /// DeadlineExceeded when `run` fires mid-fill, and with InvalidArgument
+  /// when `missing` fails MissingValueOptions::Validate.
   static Result<std::shared_ptr<const DenseDistanceSource>> Build(
       const ClusteringSet& input, const MissingValueOptions& missing = {},
       std::size_t num_threads = 0, const RunContext& run = RunContext());
@@ -133,6 +135,8 @@ class LazyDistanceSource final : public DistanceSource {
  public:
   ~LazyDistanceSource() override;
 
+  /// O(n m). Fails only with InvalidArgument, when `missing` fails
+  /// MissingValueOptions::Validate.
   static Result<std::shared_ptr<const LazyDistanceSource>> Build(
       const ClusteringSet& input, const MissingValueOptions& missing = {});
 

@@ -22,10 +22,11 @@ namespace clustagg {
 /// query (it is one backend access however many entries it fills).
 ///
 /// The wrapper deliberately hides the inner source's dense matrix:
-/// CorrelationInstance and the clusterers devirtualize their hot loops
-/// through dense_matrix() when it is available, which would bypass the
-/// wrapper and stop the counting. Wrapped instances therefore always
-/// exercise the virtual FillRow/distance paths.
+/// CorrelationInstance reads the packed matrix directly when
+/// dense_matrix() is available (inline distance() and the in-place
+/// tails of ForEachUpperRow), and so does AGGLOMERATIVE's widen; both
+/// would bypass the wrapper and stop the counting. Wrapped instances
+/// therefore always exercise the virtual FillRow/distance paths.
 class FaultInjectingDistanceSource final : public DistanceSource {
  public:
   /// `cancel_at_query` = 0 disables the trigger (pure counting wrapper).

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "core/instrumentation.h"
 
 namespace clustagg {
@@ -45,25 +44,19 @@ std::pair<std::size_t, std::size_t> FurthestPair(
   const std::size_t n = instance.size();
   std::vector<double> row_max(n, -1.0);
   std::vector<std::size_t> row_arg(n, 0);
-  const std::size_t threads =
-      EffectiveRowThreads(n, ResolveThreadCount(instance.num_threads()));
-  std::vector<std::vector<double>> rows(threads, std::vector<double>(n));
-  *completed = ParallelForRowsCancellable(
-      n, threads, run, [&](std::size_t u, std::size_t tid) {
-        if (u + 1 >= n) return;
-        std::vector<double>& row = rows[tid];
-        instance.FillRow(u, row);
-        double best = -1.0;
-        std::size_t arg = u + 1;
-        for (std::size_t v = u + 1; v < n; ++v) {
-          if (row[v] > best) {
-            best = row[v];
-            arg = v;
-          }
-        }
-        row_max[u] = best;
-        row_arg[u] = arg;
-      });
+  *completed = instance.ForEachUpperRow(run, [&](std::size_t u, auto tail) {
+    double best = -1.0;
+    std::size_t arg = u + 1;
+    for (std::size_t v = u + 1; v < n; ++v) {
+      const double x = tail[v - u - 1];
+      if (x > best) {
+        best = x;
+        arg = v;
+      }
+    }
+    row_max[u] = best;
+    row_arg[u] = arg;
+  });
   std::size_t c1 = 0;
   std::size_t c2 = 1;
   double max_dist = -1.0;
@@ -110,11 +103,7 @@ Result<ClustererRun> FurthestClusterer::RunControlled(
   bool seed_completed = false;
   const auto [c1, c2] = FurthestPair(instance, run, &seed_completed);
   if (!seed_completed) {
-    RunOutcome outcome = run.Poll();
-    if (outcome == RunOutcome::kConverged) {
-      outcome = RunOutcome::kDeadlineExceeded;
-    }
-    return ClustererRun{std::move(best_clustering), outcome};
+    return ClustererRun{std::move(best_clustering), run.InterruptOutcome()};
   }
   std::vector<std::size_t> centers = {c1, c2};
   // One bulk row query per promoted center; every later pass (assignment,

@@ -2,11 +2,11 @@
 #define CLUSTAGG_CORE_INTERNAL_MOVE_STATE_H_
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "core/clustering.h"
 #include "core/correlation_instance.h"
 
@@ -65,13 +65,8 @@ class MoveState {
     // the distance source can be consumed in parallel; each m_[c][u]
     // still accumulates its members in ascending v, the serial order,
     // making the table bit-identical for every thread count.
-    const std::size_t threads =
-        EffectiveRowThreads(n_, ResolveThreadCount(instance.num_threads()));
-    std::vector<std::vector<double>> rows(threads, std::vector<double>(n_));
-    const bool ok = ParallelForRowsCancellable(
-        n_, threads, run, [&](std::size_t u, std::size_t tid) {
-          std::vector<double>& row = rows[tid];
-          instance_.FillRow(u, row);
+    const bool ok = instance_.ForEachRow(
+        run, [&](std::size_t u, std::span<const double> row) {
           for (std::size_t v = 0; v < n_; ++v) {
             if (v != u) m_[assignment_[v]][u] += w_[v] * row[v];
           }

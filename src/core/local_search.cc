@@ -69,11 +69,7 @@ Result<ClustererRun> LocalSearchClusterer::RunFromControlled(
   if (!state_built) {
     // The M table is partial and unusable; the starting partition is the
     // best valid answer available.
-    RunOutcome outcome = run.Poll();
-    if (outcome == RunOutcome::kConverged) {
-      outcome = RunOutcome::kDeadlineExceeded;
-    }
-    return ClustererRun{initial.Normalized(), outcome};
+    return ClustererRun{initial.Normalized(), run.InterruptOutcome()};
   }
   Rng rng(options_.seed);
   std::vector<std::size_t> order(n);

@@ -97,7 +97,7 @@ Result<ShardPlan> DecomposeAgreementGraph(
       EffectiveRowThreads(n, ResolveThreadCount(num_threads));
   std::vector<UnionFind> forests(threads, UnionFind(n));
   std::vector<std::vector<char>> rows(threads, std::vector<char>(n));
-  const bool scanned = ParallelForRowsCancellable(
+  const bool scanned = ParallelForRows(
       n, threads, run, [&](std::size_t u, std::size_t tid) {
         std::vector<char>& agree = rows[tid];
         source.AgreementRow(u, agree);
@@ -106,12 +106,7 @@ Result<ShardPlan> DecomposeAgreementGraph(
           if (agree[v]) forest.Union(u, v);
         }
       });
-  if (!scanned) {
-    const RunOutcome outcome = run.Poll();
-    return outcome == RunOutcome::kConverged
-               ? Status::DeadlineExceeded("agreement scan interrupted")
-               : run.StopStatus(outcome);
-  }
+  if (!scanned) return run.InterruptStatus();
   UnionFind components(n);
   for (UnionFind& forest : forests) {
     for (std::size_t v = 0; v < n; ++v) components.Union(v, forest.Find(v));

@@ -163,7 +163,7 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   std::vector<std::uint64_t> solve_nanos(shard_count, 0);
   {
     InstrumentedSpan solve_span(telemetry, "shard.solve");
-    ParallelForRowsCancellable(
+    ParallelForRows(
         shard_count, outer, run, [&](std::size_t s, std::size_t) {
           const std::uint64_t start =
               telemetry != nullptr ? telemetry->clock().NowNanos() : 0;
@@ -209,10 +209,7 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
     any_unsolved = true;
     AggregationResult filler;
     filler.clustering = Clustering::AllSingletons(shard_objects[s].size());
-    RunOutcome interrupt = run.Poll();
-    filler.outcome = interrupt == RunOutcome::kConverged
-                         ? RunOutcome::kDeadlineExceeded
-                         : interrupt;
+    filler.outcome = run.InterruptOutcome();
     out.outcome = MergeOutcomes(out.outcome, filler.outcome);
     solved[s] = std::move(filler);
   }

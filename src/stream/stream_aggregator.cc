@@ -56,6 +56,9 @@ StreamAggregator::StreamAggregator(StreamAggregatorOptions options)
     : options_(std::move(options)) {}
 
 Status StreamAggregator::Ingest(StreamEvent event) {
+  // Flush builds lazy sources under these options; reject them here, on
+  // the call that can still return a Status.
+  if (Status s = options_.missing.Validate(); !s.ok()) return s;
   if (const auto* add = std::get_if<AddClusteringEvent>(&event)) {
     // While no clustering exists yet (applied or queued) there are no
     // label tuples to contradict, so the first AddClustering may carry
@@ -145,8 +148,12 @@ void StreamAggregator::RefreshColumns() {
   for (double w : weights_) total_weight_ += w;
   source_ = nullptr;
   if (columns_.empty() || n_ < 2) return;
+  // columns_ is non-empty, and Ingest and RestoreState validated every
+  // label and weight in it, so Create cannot fail.
   Result<ClusteringSet> input = CurrentInput();
-  CLUSTAGG_CHECK(input.ok());  // Ingest / RestoreState validated it.
+  CLUSTAGG_CHECK(input.ok());
+  // The only way Build fails is a coin probability outside [0, 1], which
+  // Ingest and RestoreState reject before any event is applied.
   Result<std::shared_ptr<const LazyDistanceSource>> source =
       LazyDistanceSource::Build(*input, options_.missing);
   CLUSTAGG_CHECK(source.ok());
@@ -179,12 +186,14 @@ void StreamAggregator::SweepPairs(const DistanceSource* before,
   double predicted = predicted_cost_;
   for (std::size_t v0 = 1; v0 < n_; v0 += block) {
     const std::size_t rows = std::min(block, n_ - v0);
-    ParallelForRows(rows, threads, [&](std::size_t i, std::size_t) {
-      const std::span<double> old_row(old_rows.data() + i * n_, n_);
-      const std::span<double> new_row(new_rows.data() + i * n_, n_);
-      if (before != nullptr) before->FillRow(v0 + i, old_row);
-      if (source_ != nullptr) source_->FillRow(v0 + i, new_row);
-    });
+    // An unlimited run never interrupts: every row is filled.
+    ParallelForRows(
+        rows, threads, RunContext(), [&](std::size_t i, std::size_t) {
+          const std::span<double> old_row(old_rows.data() + i * n_, n_);
+          const std::span<double> new_row(new_rows.data() + i * n_, n_);
+          if (before != nullptr) before->FillRow(v0 + i, old_row);
+          if (source_ != nullptr) source_->FillRow(v0 + i, new_row);
+        });
     for (std::size_t i = 0; i < rows; ++i) {
       const std::size_t v = v0 + i;
       const double* old_row = old_rows.data() + i * n_;
@@ -302,6 +311,8 @@ void StreamAggregator::RebuildFoldIndex() {
           ? ClusteringSet::Create(
                 {Clustering(std::vector<Clustering::Label>(n_, 0))})
           : CurrentInput();
+  // One all-zero clustering, or the non-empty applied columns whose
+  // labels and weights Ingest and RestoreState validated.
   CLUSTAGG_CHECK(input.ok());
   fold_index_ = SignatureIndex::Build(*input);
 }
@@ -401,6 +412,7 @@ Status StreamAggregator::RestoreState(StreamAggregatorState state) {
     return Status::FailedPrecondition(
         "cannot restore state into a stream with queued events");
   }
+  if (Status s = options_.missing.Validate(); !s.ok()) return s;
   const std::size_t n = state.num_objects;
   if (state.weights.size() != state.columns.size()) {
     return Status::DataLoss("stream state holds " +

@@ -176,8 +176,9 @@ class StreamAggregator {
   /// more labels than the stream has objects — it defines them, the way
   /// ClusteringSet::Create infers n from its first clustering. A
   /// removal must name an id alive after every queued event (window
-  /// evictions included) or it is rejected with kInvalidArgument.
-  /// Errors leave the queue unchanged.
+  /// evictions included) or it is rejected with kInvalidArgument. Every
+  /// event is rejected with kInvalidArgument while options.missing fails
+  /// MissingValueOptions::Validate. Errors leave the queue unchanged.
   Status Ingest(StreamEvent event);
 
   /// Applies every queued event to the columns, evicting the oldest clustering whenever the window overflows,
@@ -260,8 +261,9 @@ class StreamAggregator {
   /// changes every distance. Internally-inconsistent state (mismatched
   /// column lengths, malformed labels or weights, a total weight that
   /// is not the sum of the weights, id vectors that are not strictly
-  /// ascending below their next-id) yields kDataLoss. Distances and the
-  /// fold grouping are recomputed from the columns.
+  /// ascending below their next-id) yields kDataLoss; options.missing
+  /// failing MissingValueOptions::Validate yields kInvalidArgument.
+  /// Distances and the fold grouping are recomputed from the columns.
   Status RestoreState(StreamAggregatorState state);
 
  private:

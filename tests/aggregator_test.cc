@@ -175,6 +175,23 @@ TEST(AggregatorTest, UnanimousInputsCostZero) {
   }
 }
 
+TEST(AggregatorTest, RejectsCoinProbabilityOutsideUnitInterval) {
+  const ClusteringSet input = *ClusteringSet::Create({
+      Clustering({0, 0, 1, Clustering::kMissing}),
+      Clustering({0, 0, 1, 1}),
+  });
+  for (AggregationAlgorithm algorithm :
+       {AggregationAlgorithm::kBestClustering,
+        AggregationAlgorithm::kLocalSearch}) {
+    AggregatorOptions options;
+    options.algorithm = algorithm;
+    options.missing.coin_together_probability = 7.0;
+    EXPECT_EQ(Aggregate(input, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << AggregationAlgorithmName(algorithm);
+  }
+}
+
 TEST(AggregatorTest, MissingPolicyIsForwarded) {
   Result<ClusteringSet> input = ClusteringSet::Create({
       Clustering({0, 0, 1, Clustering::kMissing}),

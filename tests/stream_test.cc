@@ -205,6 +205,24 @@ TEST(StreamAggregatorTest, RejectsRemovalOfUnknownOrDeadId) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(StreamAggregatorTest, RejectsCoinProbabilityOutsideUnitInterval) {
+  // A flush would build X under these options; the bad probability is
+  // refused on every call that can still return a Status.
+  StreamAggregatorOptions options;
+  options.missing.coin_together_probability = 7.0;
+  StreamAggregator stream{options};
+  EXPECT_EQ(stream.Ingest(AddClusteringEvent{{0, 1, Clustering::kMissing},
+                                             1.0})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(stream.pending_events(), 0u);
+  StreamAggregator valid{StreamAggregatorOptions{}};
+  ASSERT_TRUE(valid.Ingest(AddClusteringEvent{{0, 1, 0}, 1.0}).ok());
+  ASSERT_TRUE(valid.Flush().ok());
+  EXPECT_EQ(stream.RestoreState(*valid.ExportState()).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(StreamAggregatorTest, RejectsRemovalOfWindowEvictedId) {
   StreamAggregatorOptions options;
   options.window = 2;

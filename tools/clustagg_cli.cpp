@@ -394,8 +394,7 @@ Result<MissingValueOptions> ParseMissingFlags(const Flags& flags) {
   MissingValueOptions missing;
   missing.policy = flags.Choice("missing", MissingValuePolicy::kRandomCoin);
   missing.coin_together_probability = flags.Number("coin-p", 0.5);
-  if (!(missing.coin_together_probability >= 0.0 &&
-        missing.coin_together_probability <= 1.0)) {
+  if (!missing.Validate().ok()) {
     return Status::InvalidArgument("--coin-p: expected a probability in "
                                    "[0, 1], got '" + flags.Get("coin-p") +
                                    "'");

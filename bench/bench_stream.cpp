@@ -115,12 +115,10 @@ ReplayStats Replay(const std::vector<StreamRecord>& records,
       stats.repair_seconds += seconds;
     }
   }
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   if (const Histogram* ingest =
           telemetry.histogram("stream.ingest.batch_nanos")) {
     stats.ingest_seconds = static_cast<double>(ingest->sum()) * 1e-9;
   }
-#endif
   stats.final_cost = stream.cost();
   stats.final_objects = stream.num_objects();
   stats.final_clusterings = stream.num_clusterings();

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "bench_common.h"
 
@@ -87,17 +88,28 @@ int main() {
   // ------------------------------------------------ Table 1 companion
   std::printf("\n=== Table 1: confusion matrix, AGGLOMERATIVE on "
               "Mushrooms ===\n");
-  Result<ConfusionMatrix> cm =
-      BuildConfusionMatrix(agglomerative_result, classes);
-  CLUSTAGG_CHECK_OK(cm.status());
+  const Clustering clusters = agglomerative_result.Normalized();
+  const std::vector<std::size_t> sizes = clusters.ClusterSizes();
   // Show the largest clusters (the paper's table has 7 columns); fold
   // any long tail of small clusters into a "rest" column.
-  std::vector<std::size_t> order(cm->num_clusters());
+  std::vector<std::size_t> order(sizes.size());
   for (std::size_t c = 0; c < order.size(); ++c) order[c] = c;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return cm->ClusterSize(a) > cm->ClusterSize(b);
+    return sizes[a] > sizes[b];
   });
   const std::size_t shown = std::min<std::size_t>(order.size(), 12);
+  std::vector<std::size_t> printed_column(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    printed_column[order[i]] = std::min(i, shown);
+  }
+  // Class id -> counts per printed column ("rest" last), only for the
+  // classes that occur, in ascending class id.
+  std::map<std::int32_t, std::vector<std::size_t>> counts;
+  for (std::size_t v = 0; v < clusters.size(); ++v) {
+    std::vector<std::size_t>& row =
+        counts.try_emplace(classes[v], shown + 1, 0).first->second;
+    ++row[printed_column[static_cast<std::size_t>(clusters.label(v))]];
+  }
   std::vector<std::string> header = {"class"};
   for (std::size_t i = 0; i < shown; ++i) {
     std::string col = "c";
@@ -107,18 +119,14 @@ int main() {
   if (shown < order.size()) header.emplace_back("rest");
   TablePrinter confusion(header);
   const char* class_names[] = {"Poisonous", "Edible"};
-  for (std::size_t cls = 0; cls < cm->num_classes(); ++cls) {
+  for (const auto& [cls, class_counts] : counts) {
     std::vector<std::string> row = {cls < 2 ? class_names[cls]
                                             : std::to_string(cls)};
     for (std::size_t i = 0; i < shown; ++i) {
-      row.push_back(std::to_string(cm->counts[order[i]][cls]));
+      row.push_back(std::to_string(class_counts[i]));
     }
     if (shown < order.size()) {
-      std::size_t rest = 0;
-      for (std::size_t i = shown; i < order.size(); ++i) {
-        rest += cm->counts[order[i]][cls];
-      }
-      row.push_back(std::to_string(rest));
+      row.push_back(std::to_string(class_counts[shown]));
     }
     confusion.AddRow(std::move(row));
   }

@@ -17,6 +17,7 @@
 #   ci/sanitize.sh fold                                 # fold + sampling
 #   ci/sanitize.sh score                                # partition scores
 #   ci/sanitize.sh rows                                 # row walks
+#   ci/sanitize.sh telemetry                            # metric registry
 #   ci/sanitize.sh smoke                                # CLI end to end
 #
 # The smoke leg drives the shipped `clustagg` binary through every CLI
@@ -49,6 +50,10 @@
 # it: every whole-instance reduction and clusterer row scan shares
 # per-thread scratch rows across the loop's workers, so its TSan pass
 # certifies that each row's writes stay disjoint.
+#
+# The telemetry leg runs the registry suite: its counters, gauges and
+# histograms take concurrent updates from the parallel row loops'
+# workers, so the TSan pass certifies exact aggregation across threads.
 #
 # On top of the label legs, every invocation runs a fixed eviction pin
 # (`ctest -R 'Window|Evict|Removal|window_smoke'`): the

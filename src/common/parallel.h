@@ -4,15 +4,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/run_context.h"
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
-#include <string>
-
 #include "common/telemetry.h"
-#endif
 
 namespace clustagg {
 
@@ -34,7 +31,6 @@ inline std::size_t EffectiveRowThreads(std::size_t rows,
   return std::min(resolved == 0 ? std::size_t{1} : resolved, rows);
 }
 
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
 namespace internal {
 
 /// Per-worker telemetry handles for the parallel row loops: each thread
@@ -69,7 +65,6 @@ struct RowLoopRecorder {
 };
 
 }  // namespace internal
-#endif  // CLUSTAGG_TELEMETRY_ENABLED
 
 /// Runs fn(row, thread_id) for every row in [0, rows). Rows are handed
 /// out dynamically in chunks (row work shrinks along a packed triangle),
@@ -93,28 +88,20 @@ struct RowLoopRecorder {
 template <typename Fn>
 bool ParallelForRows(std::size_t rows, std::size_t num_threads,
                      const RunContext& run, Fn&& fn) {
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   Telemetry* telemetry = run.telemetry();
-#endif
   if (rows == 0) return true;
   if (num_threads > rows) num_threads = rows;
   if (num_threads <= 1) {
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
     const internal::RowLoopRecorder recorder(telemetry, 0);
-#endif
     for (std::size_t u = 0; u < rows;) {
       const std::size_t block = std::min<std::size_t>(16, rows - u);
       run.ChargeIterations(block);
       if (run.ShouldStop()) return false;
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
       const std::uint64_t t0 = recorder.Start();
-#endif
       for (const std::size_t end = u + block; u < end; ++u) {
         fn(u, std::size_t{0});
       }
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
       recorder.Block(t0, block);
-#endif
     }
     return true;
   }
@@ -123,9 +110,7 @@ bool ParallelForRows(std::size_t rows, std::size_t num_threads,
   const std::size_t chunk =
       std::max<std::size_t>(1, rows / (num_threads * 8));
   auto worker = [&](std::size_t thread_id) {
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
     const internal::RowLoopRecorder recorder(telemetry, thread_id);
-#endif
     for (;;) {
       if (run.ShouldStop()) {
         stopped.store(true, std::memory_order_relaxed);
@@ -135,13 +120,9 @@ bool ParallelForRows(std::size_t rows, std::size_t num_threads,
       if (begin >= rows) return;
       const std::size_t end = std::min(rows, begin + chunk);
       run.ChargeIterations(end - begin);
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
       const std::uint64_t t0 = recorder.Start();
-#endif
       for (std::size_t u = begin; u < end; ++u) fn(u, thread_id);
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
       recorder.Block(t0, end - begin);
-#endif
     }
   };
   std::vector<std::thread> pool;

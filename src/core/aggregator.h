@@ -78,6 +78,12 @@ struct AggregatorOptions {
   /// building the full O(n^2) instance (Section 4.1). Ignored for
   /// kBestClustering and kExact.
   std::size_t sampling_size = 0;
+  /// SAMPLING's own knobs. Aggregate reads only `sample_log_factor`,
+  /// `seed`, `recluster_singletons` and `source.run` (the sub-instance
+  /// builds' budget; `run` stands in while it is unlimited and carries no
+  /// sink) from here. It overwrites `sample_size`, `missing`,
+  /// `source.backend`, `source.num_threads` and `fold` with
+  /// `sampling_size`, `missing`, `backend`, `num_threads` and `fold`.
   SamplingOptions sampling;
 
   /// Opt-in duplicate-signature folding: group objects whose full m-label

@@ -116,47 +116,48 @@ Result<double> ClusteringSet::TotalDisagreements(
   }
   if (Status s = missing.Validate(); !s.ok()) return s;
 
-  if (!has_missing_ && missing.policy == MissingValuePolicy::kRandomCoin) {
-    // Fast exact path: weighted sum of contingency-table distances.
-    double total = 0.0;
-    for (std::size_t i = 0; i < clusterings_.size(); ++i) {
-      Result<std::uint64_t> d =
-          DisagreementDistance(clusterings_[i], candidate);
-      if (!d.ok()) return d.status();
-      total += weights_[i] * static_cast<double>(*d);
-    }
-    return total;
-  }
-
   if (missing.policy == MissingValuePolicy::kRandomCoin) {
     // Per-clustering decomposition, O(m * (n + K_i + K)). A clustering
     // disagrees exactly (0/1) on the pairs where both endpoints have
     // labels. On a pair touching a missing label the coin reports
     // "together" with probability p, so the expected disagreement is
     // (1 - p) when the candidate joins the pair and p when it splits it.
+    // An input with no missing label scores each (c, candidate) table
+    // as it is: its missing-pair terms are exact zeros, so the total is
+    // the weighted sum of contingency-table distances.
     const auto n64 = static_cast<std::uint64_t>(num_objects_);
     const double all_pairs = 0.5 * static_cast<double>(n64) *
                              static_cast<double>(n64 - 1);
     const double p = missing.coin_together_probability;
-    Result<std::uint64_t> candidate_together = CoClusteredPairs(candidate);
-    if (!candidate_together.ok()) return candidate_together.status();
+    std::uint64_t candidate_together = 0;
+    if (has_missing_) {
+      Result<std::uint64_t> together = CoClusteredPairs(candidate);
+      if (!together.ok()) return together.status();
+      candidate_together = *together;
+    }
     double total = 0.0;
     for (std::size_t i = 0; i < clusterings_.size(); ++i) {
       const Clustering& c = clusterings_[i];
       std::vector<std::size_t> present;
-      present.reserve(num_objects_);
-      for (std::size_t v = 0; v < num_objects_; ++v) {
-        if (c.has_label(v)) present.push_back(v);
+      if (has_missing_) {
+        present.reserve(num_objects_);
+        for (std::size_t v = 0; v < num_objects_; ++v) {
+          if (c.has_label(v)) present.push_back(v);
+        }
       }
-      const auto np = static_cast<double>(present.size());
-      const double present_pairs = 0.5 * np * (np - 1.0);
-      Result<Contingency> t = Contingency::Build(c.Restrict(present),
-                                                 candidate.Restrict(present));
+      Result<Contingency> t =
+          has_missing_ ? Contingency::Build(c.Restrict(present),
+                                            candidate.Restrict(present))
+                       : Contingency::Build(c, candidate);
       if (!t.ok()) return t.status();
+      const auto np = static_cast<double>(t->n);
+      const double present_pairs = 0.5 * np * (np - 1.0);
       // Pairs with a missing endpoint, split by what the candidate does.
       const double missing_pairs = all_pairs - present_pairs;
       const double missing_together =
-          static_cast<double>(*candidate_together - t->ColPairs());
+          has_missing_
+              ? static_cast<double>(candidate_together - t->ColPairs())
+              : 0.0;
       const double missing_apart = missing_pairs - missing_together;
       total += weights_[i] * (static_cast<double>(t->Disagreements()) +
                               missing_together * (1.0 - p) + missing_apart * p);

@@ -8,18 +8,13 @@
 
 /// Call-site layer of the telemetry system. Library code never touches
 /// Telemetry directly; it calls the helpers below with the Telemetry*
-/// carried by the current RunContext (null when no sink is attached).
-/// When the library is configured with -DCLUSTAGG_TELEMETRY=OFF the
-/// CLUSTAGG_TELEMETRY_ENABLED macro is not defined and every helper
-/// collapses to an empty inline function (and InstrumentedSpan to an
-/// empty object), so instrumented code compiles to exactly what it was
-/// before instrumentation — zero overhead, verified by the cli_smoke
-/// no-op check. When ON, a null Telemetry* still short-circuits to a
-/// single pointer test.
+/// carried by the current RunContext. That pointer is null unless the
+/// caller attached a sink (the RunContext default), and a null sink is
+/// the only way to turn recording off: every helper then costs one
+/// pointer test, and InstrumentedSpan / InstrumentedTimer neither read
+/// the clock nor touch a registry.
 
 namespace clustagg {
-
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
 
 inline void TelemetryCount(Telemetry* telemetry, std::string_view name,
                            std::uint64_t delta = 1) {
@@ -92,35 +87,6 @@ class InstrumentedTimer {
   std::string_view name_;
   std::uint64_t start_;
 };
-
-#else  // !CLUSTAGG_TELEMETRY_ENABLED
-
-inline void TelemetryCount(Telemetry*, std::string_view,
-                           std::uint64_t = 1) {}
-inline void TelemetrySetGauge(Telemetry*, std::string_view, std::int64_t) {}
-inline void TelemetryObserve(Telemetry*, std::string_view, std::uint64_t) {}
-inline void TelemetryTracePoint(Telemetry*, std::string_view, std::uint64_t,
-                                double, std::uint64_t = 0) {}
-inline std::size_t TelemetryBeginSpan(Telemetry*, std::string_view) {
-  return 0;
-}
-inline void TelemetryEndSpan(Telemetry*, std::size_t) {}
-
-class InstrumentedSpan {
- public:
-  InstrumentedSpan(Telemetry*, std::string_view) {}
-  InstrumentedSpan(const InstrumentedSpan&) = delete;
-  InstrumentedSpan& operator=(const InstrumentedSpan&) = delete;
-};
-
-class InstrumentedTimer {
- public:
-  InstrumentedTimer(Telemetry*, std::string_view) {}
-  InstrumentedTimer(const InstrumentedTimer&) = delete;
-  InstrumentedTimer& operator=(const InstrumentedTimer&) = delete;
-};
-
-#endif  // CLUSTAGG_TELEMETRY_ENABLED
 
 }  // namespace clustagg
 

@@ -10,10 +10,9 @@ namespace clustagg {
 
 namespace {
 
-/// Checks the inputs of the class-label scores; returns the largest class.
-Result<std::int32_t> CheckClassLabels(
-    const Clustering& clustering,
-    const std::vector<std::int32_t>& class_labels) {
+/// Checks the inputs of the class-label scores.
+Status CheckClassLabels(const Clustering& clustering,
+                        const std::vector<std::int32_t>& class_labels) {
   if (clustering.size() != class_labels.size()) {
     return Status::InvalidArgument(
         "clustering covers " + std::to_string(clustering.size()) +
@@ -23,12 +22,10 @@ Result<std::int32_t> CheckClassLabels(
   if (clustering.HasMissing()) {
     return Status::InvalidArgument("clustering must be complete");
   }
-  std::int32_t max_class = -1;
   for (std::int32_t c : class_labels) {
     if (c < 0) return Status::InvalidArgument("class labels must be >= 0");
-    max_class = std::max(max_class, c);
   }
-  return max_class;
+  return Status::OK();
 }
 
 /// Entropy in bits of a partition of n objects with the given sizes.
@@ -56,40 +53,12 @@ double MutualInformation(const Contingency& t) {
 
 }  // namespace
 
-std::size_t ConfusionMatrix::ClusterSize(std::size_t cluster) const {
-  std::size_t total = 0;
-  for (std::size_t c : counts[cluster]) total += c;
-  return total;
-}
-
-std::size_t ConfusionMatrix::MajorityCount(std::size_t cluster) const {
-  std::size_t best = 0;
-  for (std::size_t c : counts[cluster]) best = std::max(best, c);
-  return best;
-}
-
-Result<ConfusionMatrix> BuildConfusionMatrix(
-    const Clustering& clustering,
-    const std::vector<std::int32_t>& class_labels) {
-  Result<std::int32_t> max_class = CheckClassLabels(clustering, class_labels);
-  if (!max_class.ok()) return max_class.status();
-  Clustering norm = clustering;
-  ConfusionMatrix cm;
-  cm.counts.assign(norm.Normalize(),
-                   std::vector<std::size_t>(
-                       static_cast<std::size_t>(*max_class) + 1, 0));
-  for (std::size_t v = 0; v < norm.size(); ++v) {
-    ++cm.counts[static_cast<std::size_t>(norm.label(v))]
-               [static_cast<std::size_t>(class_labels[v])];
-  }
-  return cm;
-}
-
 Result<double> ClassificationError(
     const Clustering& clustering,
     const std::vector<std::int32_t>& class_labels) {
-  Result<std::int32_t> checked = CheckClassLabels(clustering, class_labels);
-  if (!checked.ok()) return checked.status();
+  if (Status s = CheckClassLabels(clustering, class_labels); !s.ok()) {
+    return s;
+  }
   // Classes are the second partition; a row's largest cell is its majority.
   Result<Contingency> t =
       Contingency::Build(clustering, Clustering(class_labels));

@@ -10,31 +10,11 @@
 
 namespace clustagg {
 
-/// Contingency counts of clusters against external class labels.
-struct ConfusionMatrix {
-  /// counts[cluster][class]; clusters ordered by normalized label.
-  std::vector<std::vector<std::size_t>> counts;
-
-  std::size_t num_clusters() const { return counts.size(); }
-  std::size_t num_classes() const {
-    return counts.empty() ? 0 : counts.front().size();
-  }
-  /// Total objects in the given cluster.
-  std::size_t ClusterSize(std::size_t cluster) const;
-  /// Size of the largest class within the cluster.
-  std::size_t MajorityCount(std::size_t cluster) const;
-};
-
-/// Builds the cluster-by-class contingency table (Table 1 of the paper).
-/// class_labels must be >= 0 and have one entry per object; the candidate
-/// clustering must be complete.
-Result<ConfusionMatrix> BuildConfusionMatrix(
-    const Clustering& clustering,
-    const std::vector<std::int32_t>& class_labels);
-
 /// Classification error E_C (Section 5.2): the fraction of objects that
 /// are not in their cluster's majority class,
 ///   E_C = sum_i (s_i - m_i) / n.
+/// class_labels must be >= 0 and have one entry per object; the
+/// clustering must be complete. Class ids need not be contiguous.
 Result<double> ClassificationError(
     const Clustering& clustering,
     const std::vector<std::int32_t>& class_labels);

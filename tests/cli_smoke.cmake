@@ -86,10 +86,8 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "unknown backend should fail")
 endif()
 
-# --stats=json telemetry: with telemetry compiled in the dump carries the
-# phase spans and the clusterer's convergence trace; compiled out, every
-# call-site is a no-op and the same flag yields an empty span list.
-# Either way the flag must be accepted and the run must succeed.
+# --stats=json telemetry: the dump carries the phase spans and the
+# clusterer's convergence trace.
 execute_process(COMMAND ${CLI} aggregate --csv ${WORK}/votes.csv
                 --class-column class --algorithm localsearch
                 --threads 1 --fake-clock --stats=json
@@ -98,20 +96,13 @@ execute_process(COMMAND ${CLI} aggregate --csv ${WORK}/votes.csv
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--stats=json aggregate failed: ${rc}")
 endif()
-if(TELEMETRY)
-  foreach(needle "\"aggregate\"" "\"build_instance\"" "\"cluster\""
-                 "localsearch")
-    if(NOT stats1 MATCHES "${needle}")
-      message(FATAL_ERROR "--stats=json should mention ${needle}, "
-                          "got: ${stats1}")
-    endif()
-  endforeach()
-else()
-  if(NOT stats1 MATCHES "\"spans\": \\[\\]")
-    message(FATAL_ERROR "telemetry-off --stats=json should have no spans, "
+foreach(needle "\"aggregate\"" "\"build_instance\"" "\"cluster\""
+               "localsearch")
+  if(NOT stats1 MATCHES "${needle}")
+    message(FATAL_ERROR "--stats=json should mention ${needle}, "
                         "got: ${stats1}")
   endif()
-endif()
+endforeach()
 
 # Byte-stability: the same run under --fake-clock --threads 1 must emit
 # byte-identical JSON (the docs/observability.md determinism contract).

@@ -256,27 +256,19 @@ TEST(JournalTest, GroupFsyncPolicyBatchesSyncs) {
     ASSERT_TRUE(writer->Append(StreamRecord(FlushMarker{})).ok());
   }
   // Appends 3 and 6 crossed the group threshold; record 7 is unsynced.
-  // The journal counters go through TelemetryCount, which a
-  // CLUSTAGG_TELEMETRY=OFF build compiles out.
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   EXPECT_EQ(telemetry.counter("durability.journal_syncs")->value(), 2u);
-#endif
   EXPECT_EQ(writer->unsynced_records(), 1u);
 
   ASSERT_TRUE(writer->Sync().ok());
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   EXPECT_EQ(telemetry.counter("durability.journal_syncs")->value(), 3u);
-#endif
   EXPECT_EQ(writer->unsynced_records(), 0u);
 
   // One more unsynced record: Close must make it durable before closing.
   ASSERT_TRUE(writer->Append(StreamRecord(FlushMarker{})).ok());
   ASSERT_TRUE(writer->Close().ok());
   EXPECT_EQ(writer->unsynced_records(), 0u);
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   EXPECT_EQ(telemetry.counter("durability.journal_syncs")->value(), 4u);
   EXPECT_EQ(telemetry.counter("durability.journal_appends")->value(), 8u);
-#endif
 }
 
 TEST(JournalTest, FsyncNeverPolicyOnlySyncsOnDemand) {
@@ -291,14 +283,10 @@ TEST(JournalTest, FsyncNeverPolicyOnlySyncsOnDemand) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(writer->Append(StreamRecord(FlushMarker{})).ok());
   }
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   EXPECT_EQ(telemetry.counter("durability.journal_syncs")->value(), 0u);
-#endif
   EXPECT_EQ(writer->unsynced_records(), 5u);
   ASSERT_TRUE(writer->Close().ok());
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   EXPECT_EQ(telemetry.counter("durability.journal_syncs")->value(), 1u);
-#endif
 }
 
 TEST(JournalTest, EveryPossibleTruncationIsATornTailNeverAnError) {
@@ -749,15 +737,11 @@ TEST(DurabilityTest, SnapshotSkipsTheCoveredReplaySuffix) {
   for (const StreamRecord& record : records) {
     if (std::holds_alternative<FlushMarker>(record)) ++markers;
   }
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
-  // Journal, snapshot and recovery counters go through TelemetryCount,
-  // which a CLUSTAGG_TELEMETRY=OFF build compiles out.
   EXPECT_EQ(telemetry.counter("durability.journal_appends")->value(),
             records.size());
   EXPECT_EQ(telemetry.counter("durability.snapshots_written")->value(),
             markers);
   EXPECT_GT(telemetry.counter("durability.snapshot_bytes")->value(), 0u);
-#endif
 
   // The workload ends on a marker and every marker snapshots, so the
   // newest snapshot covers the whole journal: recovery replays nothing.
@@ -771,13 +755,11 @@ TEST(DurabilityTest, SnapshotSkipsTheCoveredReplaySuffix) {
   EXPECT_EQ(report.snapshot_records, records.size());
   EXPECT_EQ(report.journal_records, records.size());
   EXPECT_EQ(report.replayed_records, 0u);
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   EXPECT_EQ(recovery_telemetry.counter("durability.recovery.runs")->value(),
             1u);
   EXPECT_EQ(recovery_telemetry.counter("durability.recovery.replayed_records")
                 ->value(),
             0u);
-#endif
   oracle::ExpectStreamsBitIdentical((*reopened)->stream(),
                                     PlainReplay(options, records));
 }

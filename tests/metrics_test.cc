@@ -1,5 +1,5 @@
-// Tests for the evaluation metrics: confusion matrix, classification
-// error, Rand / adjusted Rand / NMI.
+// Tests for the evaluation metrics: classification error, Rand /
+// adjusted Rand / NMI.
 
 #include <gtest/gtest.h>
 
@@ -11,29 +11,6 @@
 
 namespace clustagg {
 namespace {
-
-TEST(ConfusionMatrixTest, CountsPerClusterAndClass) {
-  const Clustering c({0, 0, 0, 1, 1});
-  const std::vector<std::int32_t> classes = {0, 0, 1, 1, 1};
-  Result<ConfusionMatrix> cm = BuildConfusionMatrix(c, classes);
-  ASSERT_TRUE(cm.ok());
-  ASSERT_EQ(cm->num_clusters(), 2u);
-  ASSERT_EQ(cm->num_classes(), 2u);
-  EXPECT_EQ(cm->counts[0][0], 2u);
-  EXPECT_EQ(cm->counts[0][1], 1u);
-  EXPECT_EQ(cm->counts[1][0], 0u);
-  EXPECT_EQ(cm->counts[1][1], 2u);
-  EXPECT_EQ(cm->ClusterSize(0), 3u);
-  EXPECT_EQ(cm->MajorityCount(0), 2u);
-}
-
-TEST(ConfusionMatrixTest, Validation) {
-  EXPECT_FALSE(BuildConfusionMatrix(Clustering({0, 1}), {0}).ok());
-  EXPECT_FALSE(BuildConfusionMatrix(Clustering({0, 1}), {0, -1}).ok());
-  EXPECT_FALSE(
-      BuildConfusionMatrix(Clustering({0, Clustering::kMissing}), {0, 0})
-          .ok());
-}
 
 TEST(ClassificationErrorTest, PureClustersHaveZeroError) {
   const Clustering c({0, 0, 1, 1, 2});
@@ -54,6 +31,26 @@ TEST(ClassificationErrorTest, SingletonsAreAlwaysPure) {
   const Clustering c = Clustering::AllSingletons(6);
   const std::vector<std::int32_t> classes = {0, 1, 0, 1, 0, 1};
   EXPECT_DOUBLE_EQ(*ClassificationError(c, classes), 0.0);
+}
+
+TEST(ClassificationErrorTest, Validation) {
+  EXPECT_FALSE(ClassificationError(Clustering({0, 1}), {0}).ok());
+  EXPECT_FALSE(ClassificationError(Clustering({0, 1}), {0, -1}).ok());
+  EXPECT_FALSE(
+      ClassificationError(Clustering({0, Clustering::kMissing}), {0, 0})
+          .ok());
+}
+
+TEST(ClassificationErrorTest, LargeClassIdsNeedNoDenseTable) {
+  // Class ids are labels, not indices: a table of clusters x (max class
+  // id + 1) cells would not fit in memory here.
+  const std::vector<std::int32_t> classes = {0, 2147483000};
+  Result<double> split = ClassificationError(Clustering({0, 1}), classes);
+  ASSERT_TRUE(split.ok()) << split.status();
+  EXPECT_EQ(*split, 0.0);
+  Result<double> joined = ClassificationError(Clustering({0, 0}), classes);
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(*joined, 0.5);
 }
 
 TEST(RandIndexTest, IdenticalPartitions) {

@@ -819,13 +819,11 @@ TEST(LocalOracleProperty, PlantedClustersQuerySublinearly) {
   // the first same-cluster candidate); 10 k per query is a generous
   // hard ceiling, and two orders of magnitude below n.
   EXPECT_LE(total_distance_queries, kQueries * 10 * k);
-#ifdef CLUSTAGG_TELEMETRY_ENABLED
   EXPECT_EQ(telemetry.counter("local.pivot_inspections")->value(),
             total_inspections);
   EXPECT_EQ(telemetry.counter("local.distance_queries")->value(),
             total_distance_queries);
   EXPECT_EQ(telemetry.counter("local.queries")->value(), kQueries);
-#endif
 }
 
 }  // namespace

@@ -610,11 +610,9 @@ TEST(ShardStreamTest, RebuildRoutesThroughShardingPipeline) {
   ASSERT_TRUE(plain_report.ok()) << plain_report.status();
   EXPECT_TRUE(sharded_report->rebuilt);
   EXPECT_TRUE(plain_report->rebuilt);
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
   // The rebuild actually went through the sharding pipeline: its
   // decomposition gauges landed in the flush telemetry.
   EXPECT_NE(telemetry.ToJson().find("shard.count"), std::string::npos);
-#endif
   EXPECT_EQ(sharded_stream.labels(), plain_stream.labels());
   EXPECT_EQ(CanonicalPartition(sharded_stream.labels().labels()),
             CanonicalPartition(groups));

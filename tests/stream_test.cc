@@ -653,7 +653,6 @@ TEST(StreamAggregatorTest, ReplayFlushesAtMarkersAndEnd) {
   EXPECT_EQ(once->rebuilds, 1u);
 }
 
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
 TEST(StreamAggregatorTest, TelemetryRecordsIngestAndRepair) {
   Telemetry telemetry;
   const RunContext run = RunContext().WithTelemetry(&telemetry);
@@ -701,7 +700,6 @@ TEST(StreamAggregatorTest, TelemetryRecordsRemovalsAndEvictions) {
   EXPECT_EQ(telemetry.gauge("stream.clusterings")->value(), 1);
   EXPECT_EQ(telemetry.gauge("stream.objects")->value(), 2);
 }
-#endif  // CLUSTAGG_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace clustagg

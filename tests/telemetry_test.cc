@@ -224,7 +224,6 @@ TEST(InstrumentationTest, NullTelemetryIsSafe) {
   EXPECT_EQ(run.telemetry(), nullptr);
 }
 
-#if defined(CLUSTAGG_TELEMETRY_ENABLED)
 TEST(InstrumentationTest, RunContextCarriesTelemetryThroughCopies) {
   Telemetry telemetry;
   RunContext run = RunContext().WithTelemetry(&telemetry);
@@ -234,7 +233,6 @@ TEST(InstrumentationTest, RunContextCarriesTelemetryThroughCopies) {
   TelemetryCount(copy.telemetry(), "via_copy", 5);
   EXPECT_EQ(telemetry.counter("via_copy")->value(), 5u);
 }
-#endif
 
 }  // namespace
 }  // namespace clustagg

@@ -150,18 +150,22 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
       return std::move(sampled->clustering);
     }
 
-    // Duplicate-signature folding: when it shrinks the instance, the
-    // whole pipeline below (build, cluster, refine) runs in s-signature
-    // space and the labels are expanded to object space at the end.
+    // Duplicate-signature folding: when it shrinks the instance and
+    // every group fits the cluster-size cap (a folded group is never
+    // split), the whole pipeline below (build, cluster, refine) runs in
+    // s-signature space and the labels are expanded to object space at
+    // the end.
     std::optional<SignatureIndex> fold_index;
     if (effective.fold) {
       InstrumentedSpan fold_span(telemetry, "fold_index");
-      SignatureIndex signatures = SignatureIndex::Build(input);
+      SignatureIndex signatures =
+          SignatureIndex::Build(input, effective.missing);
       out.fold_signatures = signatures.num_signatures();
       TelemetrySetGauge(
           telemetry, "aggregate.fold_signatures",
           static_cast<std::int64_t>(signatures.num_signatures()));
-      if (!signatures.trivial()) {
+      if (!signatures.trivial() &&
+          signatures.FitsClusterCap(options.max_cluster_size)) {
         out.folded = true;
         TelemetryCount(telemetry, "aggregate.folds");
         fold_index.emplace(std::move(signatures));

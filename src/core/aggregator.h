@@ -90,10 +90,16 @@ struct AggregatorOptions {
   /// tuple is identical across the inputs (SignatureIndex), build the
   /// s x s instance over one representative per signature with the group
   /// sizes as multiplicity weights, run the clusterer there, and expand
-  /// the labels back to object space. Exact — duplicates have pairwise
-  /// distance 0 and identical distance rows, so the folded objective
-  /// equals the original one — and a documented no-op when every object
-  /// is unique (s == n), where the full instance is built as usual.
+  /// the labels back to object space. Duplicates have identical distance
+  /// rows, and a signature is grouped only when its members' mutual
+  /// distance is <= 1/2 (under `missing`), so some optimal partition
+  /// keeps every group together. The folded instance's Cost and
+  /// LowerBound omit the intra-group pairs (a constant, nonzero only
+  /// with missing labels under kRandomCoin); the reported
+  /// total_disagreements is scored in object space and is unaffected.
+  /// Skipped when every object is unique (s == n) or when a group holds
+  /// more objects than a nonzero max_cluster_size; the full instance is
+  /// then built as usual.
   /// Categorical datasets shaped like the paper's Mushrooms / Census
   /// evaluations shrink dramatically (dense build O(n^2 m) -> O(s^2 m)).
   /// Under sampling, the sampled sub-instances are folded instead.

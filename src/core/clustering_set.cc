@@ -18,6 +18,23 @@ Status MissingValueOptions::Validate() const {
   return Status::OK();
 }
 
+double MissingValueOptions::PairDistance(double disagreeing,
+                                         double opinionated,
+                                         double total_weight) const {
+  switch (policy) {
+    case MissingValuePolicy::kRandomCoin:
+      // Every silent clustering contributes its expected disagreement.
+      disagreeing +=
+          (total_weight - opinionated) * (1.0 - coin_together_probability);
+      return disagreeing / total_weight;
+    case MissingValuePolicy::kIgnore:
+      if (opinionated == 0.0) return 0.5;
+      return disagreeing / opinionated;
+  }
+  CLUSTAGG_CHECK(false);
+  return 0.0;
+}
+
 ClusteringSet::ClusteringSet(std::vector<Clustering> clusterings,
                              std::vector<double> weights)
     : clusterings_(std::move(clusterings)), weights_(std::move(weights)) {
@@ -89,18 +106,7 @@ double ClusteringSet::PairwiseDistance(
     opinionated += weights_[i];
     if (lu != lv) disagreeing += weights_[i];
   }
-  switch (missing.policy) {
-    case MissingValuePolicy::kRandomCoin:
-      // Every silent clustering contributes its expected disagreement.
-      disagreeing += (total_weight_ - opinionated) *
-                     (1.0 - missing.coin_together_probability);
-      return disagreeing / total_weight_;
-    case MissingValuePolicy::kIgnore:
-      if (opinionated == 0.0) return 0.5;
-      return disagreeing / opinionated;
-  }
-  CLUSTAGG_CHECK(false);
-  return 0.0;
+  return missing.PairDistance(disagreeing, opinionated, total_weight_);
 }
 
 Result<double> ClusteringSet::TotalDisagreements(

@@ -33,6 +33,16 @@ struct MissingValueOptions {
   /// expected disagreements can go negative. Both DistanceSource Build
   /// functions and ClusteringSet::TotalDisagreements check it.
   Status Validate() const;
+
+  /// X of a pair from its weighted sums over the clusterings that label
+  /// both objects: `opinionated` is their weight, `disagreeing` the
+  /// weight of those separating the pair, `total_weight` that of all
+  /// clusterings. The one closing step of every distance path
+  /// (PairwiseDistance, the distance sources' general loop and
+  /// missing-cell table, SignatureIndex's fold test), so they all round
+  /// alike.
+  double PairDistance(double disagreeing, double opinionated,
+                      double total_weight) const;
 };
 
 /// An immutable collection of m clusterings over the same n objects — the

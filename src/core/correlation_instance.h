@@ -76,9 +76,14 @@ class CorrelationInstance {
   /// every pair (u, v) by multiplicities[u] * multiplicities[v] in Cost /
   /// LowerBound and every column by multiplicities[v] in
   /// TotalIncidentWeights, so optimizing the folded instance optimizes
-  /// the original objective. An unfolded instance runs the same weighted
-  /// arithmetic with weights of exactly 1.0, so its sums are those of the
-  /// plain unweighted formula (multiplying by 1.0 is exact).
+  /// the original objective over partitions that keep every group
+  /// together. Pairs inside one group are not counted: Cost and
+  /// LowerBound omit the constant sum of C(mult_g, 2) * X_gg, which is
+  /// nonzero only for a signature with a missing label under
+  /// kRandomCoin (see SignatureIndex). An unfolded instance runs the
+  /// same weighted arithmetic with weights of exactly 1.0, so its sums
+  /// are those of the plain unweighted formula (multiplying by 1.0 is
+  /// exact).
   static CorrelationInstance FromSource(
       std::shared_ptr<const DistanceSource> source,
       std::size_t num_threads = 0, std::vector<double> multiplicities = {});
@@ -155,8 +160,11 @@ class CorrelationInstance {
   /// Per-pair lower bound on the optimal cost: every unordered pair
   /// contributes at least min(X_uv, 1 - X_uv) whatever the partition does
   /// with it. This is the "Lower bound" row of Tables 2 and 3 (up to the
-  /// factor m relating d(C) and D(C)). The budgeted overload abandons
-  /// with an interrupt status like Cost.
+  /// factor m relating d(C) and D(C)). On a folded instance it is a
+  /// bound on the folded Cost, which omits the intra-group pairs, so it
+  /// sits below the per-pair bound over the unfolded objects whenever a
+  /// group has X_gg > 0. The budgeted overload abandons with an
+  /// interrupt status like Cost.
   double LowerBound() const;
   Result<double> LowerBound(const RunContext& run) const;
 

@@ -18,18 +18,26 @@ namespace internal {
 
 /// An instance's label columns, hoisted once at build time so that
 /// distance queries never re-walk Clustering objects or re-resolve the
-/// missing-value policy setup per pair. A plain instance (no missing
-/// label under any input clustering, every weight exactly 1.0) keeps
-/// only its bit-packed rows: X_uv is then an integer mismatch count
-/// divided by m, bit-identical to the general accumulation — sums of
-/// 1.0 are exact integers, opinionated == total_weight exactly, so the
-/// kRandomCoin correction adds exactly 0.0 and both policies divide the
-/// same numerator by the same denominator. Every other instance keeps
-/// object-major label rows for the general loop.
+/// missing-value policy setup per pair. A unit-weight instance (every
+/// weight exactly 1.0) keeps only its bit-packed rows. Its general-loop
+/// sums are exact integers — opinionated is the number of clusterings
+/// labelling both objects, disagreeing the number of those separating
+/// them — so X_uv is a function of those two counts alone:
+///  - without a missing label, opinionated == total_weight == m, the
+///    kRandomCoin correction adds exactly 0.0, and both policies divide
+///    the mismatch count by m (an (m+1)-entry table);
+///  - with one, the packed rows carry presence masks and X_uv is looked
+///    up in an (m+1) x (m+1) table of (observed, mismatched) cells whose
+///    entries are the general loop's own closing arithmetic
+///    (MissingValueOptions::PairDistance), so both policies stay
+///    bit-identical.
+/// Weighted instances, and those with a missing label and more than
+/// kMaxMissingCellColumns clusterings, keep object-major label rows for
+/// the general loop.
 struct DistanceColumns {
   std::size_t n = 0;
   std::size_t m = 0;
-  /// Label rows of a missing/weighted instance, empty for a plain one:
+  /// Label rows of a general-loop instance, empty for a packed one:
   /// labels[v * m + i] is the label of object v (in source index space)
   /// under input clustering i, so the pair (u, v) compares two
   /// contiguous m-length rows instead of striding by n across m columns.
@@ -37,28 +45,59 @@ struct DistanceColumns {
   std::vector<double> weights;
   double total_weight = 0.0;
   MissingValueOptions missing;
-  /// Bit-packed label lanes of a plain instance (see
+  /// Bit-packed label lanes of a unit-weight instance (see
   /// core/internal/packed_labels.h), nullptr otherwise.
   std::unique_ptr<PackedLabels> packed;
   /// Hot fields of *packed, flattened so a single point query reads
   /// them straight off this struct (already in cache from the bounds
   /// check) instead of chasing packed -> words/classes — three
   /// dependent loads that would dominate a ~10-op kernel.
-  /// packed_words is non-null only for single-word layouts.
+  /// packed_words is non-null only for single-word plain layouts.
   const std::uint64_t* packed_words = nullptr;
   std::uint64_t packed_lsb_mask = 0;
   std::uint32_t packed_width = 0;
   std::uint32_t packed_mul_shift = 0;
   bool packed_mul = false;
-  /// packed_value[c] = double(float(double(c) / total_weight)) for
-  /// c in [0, m]: float(PairwiseDistance)'s exact arithmetic
-  /// precomputed, so the query path trades the division for an L1 load.
+  /// float(ColumnDistance) widened back to double, indexed by the
+  /// mismatch count c in [0, m] on a plain layout, by the cell
+  /// observed * (m + 1) + mismatched (internal::PackedMissingCell) on
+  /// one with presence masks. The query path trades the arithmetic for
+  /// an L1 load.
   std::vector<double> packed_value;
+  /// packed_agree[cell] = float(packed value) < 0.5f, for layouts with
+  /// presence masks only (plain layouts test 2 * count < m instead).
+  std::vector<char> packed_agree;
 };
 
 }  // namespace internal
 
 namespace {
+
+/// Widest instance with a missing label whose pairs are packed: its
+/// (m+1)^2 cell table stays at most 64 Ki entries, and every per-pair
+/// count fits CountLaneBits' byte sums.
+constexpr std::size_t kMaxMissingCellColumns = 255;
+
+/// Fills the (observed, mismatched) cell tables of a unit-weight
+/// instance with a missing label. With unit weights the general loop's
+/// sums are exactly double(observed) and double(mismatched), so every
+/// entry is that loop's result for the pairs landing in the cell. Cells
+/// with mismatched > observed never occur and stay 0.
+void BuildMissingCellTables(internal::DistanceColumns& cols) {
+  const std::size_t stride = cols.m + 1;
+  cols.packed_value.assign(stride * stride, 0.0);
+  cols.packed_agree.assign(stride * stride, 0);
+  for (std::size_t observed = 0; observed <= cols.m; ++observed) {
+    for (std::size_t mismatched = 0; mismatched <= observed; ++mismatched) {
+      const float value = static_cast<float>(cols.missing.PairDistance(
+          static_cast<double>(mismatched), static_cast<double>(observed),
+          cols.total_weight));
+      cols.packed_value[observed * stride + mismatched] = value;
+      cols.packed_agree[observed * stride + mismatched] =
+          value < 0.5f ? 1 : 0;
+    }
+  }
+}
 
 internal::DistanceColumns MakeColumns(const ClusteringSet& input,
                                       const MissingValueOptions& missing) {
@@ -82,12 +121,17 @@ internal::DistanceColumns MakeColumns(const ClusteringSet& input,
       out[v * cols.m] = label;
     }
   }
-  if (!uniform || any_missing) {
+  if (!uniform || (any_missing && cols.m > kMaxMissingCellColumns)) {
     cols.labels = std::move(rows);
     return cols;
   }
-  cols.packed = internal::PackLabelRows(rows.data(), cols.n, cols.m);
+  cols.packed =
+      internal::PackLabelRows(rows.data(), cols.n, cols.m, any_missing);
   CLUSTAGG_CHECK(cols.packed != nullptr);
+  if (any_missing) {
+    BuildMissingCellTables(cols);
+    return cols;
+  }
   cols.packed_value =
       internal::BuildPackedValueLut(cols.m, cols.total_weight);
   if (cols.packed->words_per_object == 1) {
@@ -104,7 +148,7 @@ internal::DistanceColumns MakeColumns(const ClusteringSet& input,
 /// X_uv over the hoisted columns. The general accumulation order
 /// (ascending i) and arithmetic match ClusteringSet::PairwiseDistance
 /// exactly so both backends (and the legacy serial builder) agree to the
-/// last bit; the packed count produces the same bits by the argument on
+/// last bit; the packed counts produce the same bits by the argument on
 /// DistanceColumns.
 double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
                       std::size_t v) {
@@ -126,9 +170,12 @@ double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
   // path; without it GCC saves six callee-saved registers on entry, so
   // every single-word query above pays for the multi-word one.
   if (cols.packed != nullptr) [[unlikely]] {
-    // Multi-word packed layout: per-class SWAR count, then the LUT.
-    return cols.packed_value[internal::CountMismatchesPacked(*cols.packed,
-                                                             u, v)];
+    // Multi-word or missing-label packed layout: per-class SWAR counts,
+    // then the table.
+    const internal::PackedLabels& p = *cols.packed;
+    return cols.packed_value[p.has_missing()
+                                 ? internal::PackedMissingCell(p, u, v)
+                                 : internal::CountMismatchesPacked(p, u, v)];
   }
   const std::size_t m = cols.m;
   const Clustering::Label* row_u = cols.labels.data() + u * m;
@@ -142,17 +189,8 @@ double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
     opinionated += cols.weights[i];
     if (lu != lv) disagreeing += cols.weights[i];
   }
-  switch (cols.missing.policy) {
-    case MissingValuePolicy::kRandomCoin:
-      disagreeing += (cols.total_weight - opinionated) *
-                     (1.0 - cols.missing.coin_together_probability);
-      return disagreeing / cols.total_weight;
-    case MissingValuePolicy::kIgnore:
-      if (opinionated == 0.0) return 0.5;
-      return disagreeing / opinionated;
-  }
-  CLUSTAGG_CHECK(false);
-  return 0.0;
+  return cols.missing.PairDistance(disagreeing, opinionated,
+                                   cols.total_weight);
 }
 
 Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
@@ -177,7 +215,7 @@ Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
                     static_cast<std::int64_t>(threads));
   InstrumentedTimer build_timer(run.telemetry(), "build.dense_nanos");
   // Cache-blocked fill: the triangle is carved into row bands, and each
-  // band of a missing/weighted instance sweeps its columns in
+  // band of a general-loop instance sweeps its columns in
   // kTileCols-wide tiles so the tile's label rows (kTileCols * m labels)
   // stay cache-resident while every row of the band visits them. Bands
   // are disjoint contiguous slices of the packed store, so every thread
@@ -374,10 +412,13 @@ void LazyDistanceSource::FillRow(std::size_t u, std::span<double> row) const {
   const std::size_t n = cols.n;
   CLUSTAGG_CHECK(u < n && row.size() >= n);
   if (cols.packed != nullptr) {
-    // Bulk packed fill (X_uu comes out exactly 0.0: zero mismatches).
+    // Bulk packed fill. X_uu is 0 by definition; a plain layout's cell
+    // says so too (zero mismatches), but one with presence masks looks
+    // up the pair (u, u) like any other, so it is overwritten.
     internal::PackedMismatchRowDouble(*cols.packed, u, 0, n,
                                       cols.total_weight,
                                       cols.packed_value.data(), row.data());
+    row[u] = 0.0;
     return;
   }
   for (std::size_t v = 0; v < n; ++v) {
@@ -391,10 +432,12 @@ void LazyDistanceSource::AgreementRow(std::size_t u,
   const std::size_t n = cols.n;
   CLUSTAGG_CHECK(u < n && agree.size() >= n);
   if (cols.packed != nullptr) {
-    // Integer threshold per pair (2 * mismatches < m) — no float
-    // materialization at all; equivalent to the rounded compare for any
-    // m below ~2^24 (see PackedAgreementRow).
-    internal::PackedAgreementRow(*cols.packed, u, 0, n, agree.data());
+    // Integer threshold per pair (2 * mismatches < m), or the cell
+    // table's precomputed float compare — no float materialization
+    // either way (see PackedAgreementRow).
+    internal::PackedAgreementRow(*cols.packed, u, 0, n,
+                                 cols.packed_agree.data(), agree.data());
+    agree[u] = 1;  // X_uu = 0, as in FillRow
     return;
   }
   for (std::size_t v = 0; v < n; ++v) {

@@ -151,10 +151,10 @@ class LazyDistanceSource final : public DistanceSource {
   void AgreementRow(std::size_t u, std::span<char> agree) const override;
   const char* name() const override { return "lazy"; }
 
-  /// True when this source carries the bit-packed label representation
-  /// (plain instance: no missing label, unit weights).
-  /// Introspection for tests and benches; queries answer bit-identically
-  /// either way.
+  /// True when this source carries the bit-packed label representation:
+  /// every weight is 1.0, and an instance with a missing label has at
+  /// most 255 clusterings. Introspection for tests and benches; queries
+  /// answer bit-identically either way.
   bool uses_packed_labels() const;
 
  private:

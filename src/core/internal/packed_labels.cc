@@ -83,17 +83,28 @@ void SetPackedKernelTierForTest(const PackedKernelTier* tier) {
 }
 
 std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
-                                            std::size_t n, std::size_t m) {
+                                            std::size_t n, std::size_t m,
+                                            bool encode_missing) {
   if (m == 0) return nullptr;
 
   // Pass 1: remap each column's labels to 0..k-1 by first appearance
   // (only equality survives packing, so the remap changes nothing) and
-  // record the column's lane width.
+  // record the column's lane width. With encode_missing, a column that
+  // holds kMissing maps it to 0 before the scan; it is one symbol of the
+  // alphabet either way, so the width does not change.
   std::vector<std::uint32_t> remapped(n * m);
   std::vector<std::uint32_t> width(m);
   std::unordered_map<Clustering::Label, std::uint32_t> alphabet;
   for (std::size_t i = 0; i < m; ++i) {
     alphabet.clear();
+    if (encode_missing) {
+      for (std::size_t v = 0; v < n; ++v) {
+        if (rows[v * m + i] == Clustering::kMissing) {
+          alphabet.emplace(Clustering::kMissing, 0);
+          break;
+        }
+      }
+    }
     std::uint32_t max_id = 0;
     for (std::size_t v = 0; v < n; ++v) {
       const Clustering::Label label = rows[v * m + i];
@@ -180,13 +191,20 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
     packed->mul_shift = 64 - w;
   }
 
-  // Pass 3: scatter the remapped labels into the lanes.
-  packed->words.assign(n * packed->words_per_object, 0);
+  // Pass 3: scatter the remapped labels (and the presence bits) into
+  // the lanes.
+  const std::size_t words = n * packed->words_per_object;
+  packed->words.assign(words, 0);
+  if (encode_missing) packed->present.assign(words, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    std::uint64_t* out = packed->words.data() + v * packed->words_per_object;
+    const std::size_t base = v * packed->words_per_object;
+    std::uint64_t* out = packed->words.data() + base;
     const std::uint32_t* in = remapped.data() + v * m;
     for (std::size_t i = 0; i < m; ++i) {
       out[slot[i]] |= static_cast<std::uint64_t>(in[i]) << shift[i];
+      if (encode_missing && rows[v * m + i] != Clustering::kMissing) {
+        packed->present[base + slot[i]] |= std::uint64_t{1} << shift[i];
+      }
     }
   }
   return packed;
@@ -242,9 +260,82 @@ void RowFillGeneral(const PackedLabels& p, std::size_t u, std::size_t v0,
   }
 }
 
+/// Cell loop over a single-class layout of kWords words with presence
+/// masks: the words' lane bits are summed lane-wise before one count
+/// each (so two words need width >= 2; see CountLaneBits). Calls
+/// emit(i, cell) for v = v0 + i.
+template <std::size_t kWords, typename Emit>
+void MissingCellsOneClass(const PackedLabels& p, std::size_t u,
+                          std::size_t v0, std::size_t v1, Emit emit) {
+  const PackedClass& c = p.classes[0];
+  const std::uint32_t width = c.width;
+  const std::uint64_t mask = c.lsb_mask;
+  const std::size_t stride = p.cell_stride();
+  std::uint64_t ua[kWords];
+  std::uint64_t up[kWords];
+  for (std::size_t k = 0; k < kWords; ++k) {
+    ua[k] = p.row(u)[k];
+    up[k] = p.present_row(u)[k];
+  }
+  const std::uint64_t* vw = p.row(v0);
+  const std::uint64_t* vp = p.present_row(v0);
+  const std::size_t count = v1 - v0;
+  for (std::size_t i = 0; i < count; ++i, vw += kWords, vp += kWords) {
+    if ((i & (32 / kWords - 1)) == 0 && i + 64 < count) {
+      __builtin_prefetch(vw + 64 * kWords, 0, 0);
+      __builtin_prefetch(vp + 64 * kWords, 0, 0);
+    }
+    std::uint64_t observed = 0;
+    std::uint64_t mismatched = 0;
+    for (std::size_t k = 0; k < kWords; ++k) {
+      const std::uint64_t both = up[k] & vp[k];
+      observed += both;
+      mismatched += CollapseToLaneLsb(ua[k] ^ vw[k], width, mask) & both;
+    }
+    emit(i, CountLaneBits(observed, width) * stride +
+                CountLaneBits(mismatched, width));
+  }
+}
+
+/// Every (observed, mismatched) cell of row u over [v0, v1) on a layout
+/// with presence masks, handed to emit(v - v0, cell).
+template <typename Emit>
+void ForEachMissingCell(const PackedLabels& p, std::size_t u, std::size_t v0,
+                        std::size_t v1, Emit emit) {
+  if (p.classes.size() == 1 && p.words_per_object == 1) {
+    MissingCellsOneClass<1>(p, u, v0, v1, emit);
+  } else if (p.classes.size() == 1 && p.words_per_object == 2 &&
+             p.classes[0].width >= 2) {
+    MissingCellsOneClass<2>(p, u, v0, v1, emit);
+  } else {
+    for (std::size_t v = v0; v < v1; ++v) {
+      if (((v - v0) & 15u) == 0 && v + 16 < v1) {
+        __builtin_prefetch(p.row(v + 16), 0, 0);
+        __builtin_prefetch(p.present_row(v + 16), 0, 0);
+      }
+      emit(v - v0, PackedMissingCell(p, u, v));
+    }
+  }
+}
+
+template <typename Out>
+void RowFill(const PackedLabels& p, std::size_t u, std::size_t v0,
+             std::size_t v1, const double* value_lut, Out* out) {
+  if (p.has_missing()) {
+    ForEachMissingCell(p, u, v0, v1, [&](std::size_t i, std::size_t cell) {
+      out[i] = static_cast<Out>(value_lut[cell]);
+    });
+  } else if (p.words_per_object == 1) {
+    RowFillSingleWord(p, u, v0, v1, value_lut, out);
+  } else {
+    RowFillGeneral(p, u, v0, v1, value_lut, out);
+  }
+}
+
 [[maybe_unused]] bool UseAvx2(const PackedLabels& p) {
 #if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
-  return p.words_per_object == 1 && Avx2KernelAvailable() &&
+  return p.words_per_object == 1 && !p.has_missing() &&
+         Avx2KernelAvailable() &&
          ActivePackedKernelTier() == PackedKernelTier::kAvx2;
 #else
   (void)p;
@@ -278,11 +369,7 @@ void PackedMismatchRowFloat(const PackedLabels& p, std::size_t u,
     return;
   }
 #endif
-  if (p.words_per_object == 1) {
-    RowFillSingleWord(p, u, v0, v1, value_lut, out);
-  } else {
-    RowFillGeneral(p, u, v0, v1, value_lut, out);
-  }
+  RowFill(p, u, v0, v1, value_lut, out);
 }
 
 void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
@@ -296,16 +383,18 @@ void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
     return;
   }
 #endif
-  if (p.words_per_object == 1) {
-    RowFillSingleWord(p, u, v0, v1, value_lut, out);
-  } else {
-    RowFillGeneral(p, u, v0, v1, value_lut, out);
-  }
+  RowFill(p, u, v0, v1, value_lut, out);
 }
 
 void PackedAgreementRow(const PackedLabels& p, std::size_t u, std::size_t v0,
-                        std::size_t v1, char* agree) {
+                        std::size_t v1, const char* agree_lut, char* agree) {
   CLUSTAGG_CHECK(u < p.n && v0 <= v1 && v1 <= p.n);
+  if (p.has_missing()) {
+    ForEachMissingCell(p, u, v0, v1, [&](std::size_t i, std::size_t cell) {
+      agree[i] = agree_lut[cell];
+    });
+    return;
+  }
   const std::size_t m = p.m;
   if (p.words_per_object == 1) {
     const PackedClass& c = p.classes[0];

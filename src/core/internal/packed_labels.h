@@ -31,10 +31,21 @@
 //
 // Eligibility. A 32-bit lane holds any int32 column, so packing fails
 // (returns nullptr) only for m == 0, which ClusteringSet::Create already
-// rejects. Whether the *mismatch-count semantics* apply (no missing
-// labels, unit weights) is the caller's check — SignatureIndex packs
-// rows with missing sentinels too, because it only needs equality of
+// rejects. Whether the *mismatch-count semantics* apply (unit weights)
+// is the caller's check — SignatureIndex packs rows with missing
+// sentinels as ordinary symbols, because it only needs equality of
 // whole rows.
+//
+// Missing labels. Packed with encode_missing, a column that holds
+// kMissing reserves lane value 0 for it (its labels take 1..k; the
+// alphabet size, and so the lane width, is unchanged), and every object
+// gets a presence mask per word: the lane-LSB bit is set where the
+// label is present. A pair then yields two counts per word —
+// observed = popcount(pu & pv) and mismatched =
+// popcount(collapse(a ^ b) & pu & pv) — and the caller's
+// (m+1) x (m+1) table, indexed by (observed, mismatched), holds the
+// general loop's own result for that pair under either missing-value
+// policy (see distance_source.cc).
 //
 // Dispatch. Two tiers, detected once per process from the CPU: kSwar
 // runs these uint64_t kernels, and kAvx2 additionally routes bulk
@@ -98,18 +109,32 @@ struct PackedLabels {
   /// instead of the 11-op SWAR popcount. Single-word layouts only.
   bool mul_count_ok = false;
   std::uint32_t mul_shift = 0;
+  /// Presence masks, laid out like `words`: the lane-LSB bit of a lane
+  /// is set where the object's label is present. Empty unless packed
+  /// with encode_missing.
+  std::vector<std::uint64_t> present;
 
   const std::uint64_t* row(std::size_t v) const {
     return words.data() + v * words_per_object;
   }
+  const std::uint64_t* present_row(std::size_t v) const {
+    return present.data() + v * words_per_object;
+  }
+  /// True when pairs are counted as (observed, mismatched) cells.
+  bool has_missing() const { return !present.empty(); }
+  /// Side of the (observed, mismatched) table: m + 1.
+  std::size_t cell_stride() const { return m + 1; }
 };
 
 /// Packs object-major label rows (rows[v * m + i] = label of object v
 /// under clustering i). Labels are remapped per column by first
 /// appearance, so any int32 labels — including the kMissing sentinel —
-/// pack. Returns nullptr only when m == 0.
+/// pack. With encode_missing, kMissing takes lane value 0 in the columns
+/// that hold it and the presence masks are built (see "Missing labels"
+/// above). Returns nullptr only when m == 0.
 std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
-                                            std::size_t n, std::size_t m);
+                                            std::size_t n, std::size_t m,
+                                            bool encode_missing = false);
 
 /// Branch-free SWAR popcount (no POPCNT ISA requirement, so the
 /// portable library build never falls back to a libgcc call).
@@ -154,8 +179,23 @@ inline std::uint64_t CollapseToLaneLsb(std::uint64_t x, std::uint32_t width,
   }
 }
 
+/// Number of set lane-LSB bits of a `width`-lane vector: the SWAR
+/// popcount without the folds a wider lane makes redundant (a 4-bit or
+/// wider lane already holds its own count in its low nibble). It also
+/// counts the lane-wise sum of several such vectors, as long as no lane
+/// overflows (at most min(2^width - 1, 7) vectors) and the total stays
+/// below 256.
+inline std::uint64_t CountLaneBits(std::uint64_t x, std::uint32_t width) {
+  if (width == 1) x -= (x >> 1) & 0x5555555555555555ull;
+  if (width <= 2) {
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  }
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return (x * 0x0101010101010101ull) >> 56;
+}
+
 /// Number of clusterings on which u and v disagree, counted over the
-/// packed rows.
+/// packed rows. Plain layouts only (no presence masks).
 inline std::size_t CountMismatchesPacked(const PackedLabels& p,
                                          std::size_t u, std::size_t v) {
   const std::uint64_t* a = p.row(u);
@@ -176,6 +216,30 @@ inline std::size_t CountMismatchesPacked(const PackedLabels& p,
     }
   }
   return total;
+}
+
+/// The (observed, mismatched) cell of a pair on a layout with presence
+/// masks: observed * (m + 1) + mismatched, where observed counts the
+/// clusterings labelling both objects and mismatched those of them that
+/// separate the pair.
+inline std::size_t PackedMissingCell(const PackedLabels& p, std::size_t u,
+                                     std::size_t v) {
+  const std::uint64_t* a = p.row(u);
+  const std::uint64_t* b = p.row(v);
+  const std::uint64_t* pa = p.present_row(u);
+  const std::uint64_t* pb = p.present_row(v);
+  std::size_t observed = 0;
+  std::size_t mismatched = 0;
+  for (const PackedClass& c : p.classes) {
+    for (std::uint32_t w = c.begin_word; w < c.end_word; ++w) {
+      const std::uint64_t both = pa[w] & pb[w];
+      observed += CountLaneBits(both, c.width);
+      mismatched += CountLaneBits(
+          CollapseToLaneLsb(a[w] ^ b[w], c.width, c.lsb_mask) & both,
+          c.width);
+    }
+  }
+  return observed * p.cell_stride() + mismatched;
 }
 
 /// Equality of two packed rows — equivalent to equality of the original
@@ -211,14 +275,14 @@ inline std::uint64_t HashPackedRow(const PackedLabels& p, std::size_t v) {
 /// nothing but speed.
 std::vector<double> BuildPackedValueLut(std::size_t m, double total_weight);
 
-/// Bulk row fill for the dense tiled build: out[v - v0] =
-/// float(double(count(u, v)) / total_weight) for v in [v0, v1) — the
-/// LUT's arithmetic, so the filled matrix is bit-identical whichever
-/// tier runs. value_lut must be a
-/// BuildPackedValueLut(p.m, total_weight) table. Routes through the
-/// AVX2 kernel (which divides in-register instead of using the LUT)
-/// when the active tier is kAvx2 and the layout is single-word;
-/// otherwise the SWAR loop (with explicit prefetch) runs.
+/// Bulk row fill for the dense tiled build: out[v - v0] = value_lut[i]
+/// for v in [v0, v1), where i is the pair's mismatch count on a plain
+/// layout (value_lut a BuildPackedValueLut(p.m, total_weight) table) and
+/// its PackedMissingCell on one with presence masks (value_lut the
+/// caller's (m+1) x (m+1) cell table). Routes a plain single-word layout through
+/// the AVX2 kernel (which divides in-register instead of using the LUT,
+/// with the same arithmetic) when the active tier is kAvx2; otherwise
+/// the SWAR loop (with explicit prefetch) runs.
 void PackedMismatchRowFloat(const PackedLabels& p, std::size_t u,
                             std::size_t v0, std::size_t v1,
                             double total_weight, const double* value_lut,
@@ -232,13 +296,17 @@ void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
                              double* out);
 
 /// Agreement test row for the shard decompose scan: agree[v] != 0 iff
-/// X_uv < 1/2, decided as the exact integer test 2 * count < m (u == v
-/// counts as agreement). Equivalent to comparing the float-rounded
-/// distance against 0.5 for any m below ~2^24: count/m <= 1/2 - 1/(2m)
-/// sits further from 0.5 than half a float ulp, so rounding can never
-/// cross the threshold, and count/m == 1/2 is exact in both forms.
+/// X_uv < 1/2 (u == v counts as agreement). On a plain layout it is the
+/// exact integer test 2 * count < m, equivalent to comparing the
+/// float-rounded distance against 0.5 for any m below ~2^24:
+/// count/m <= 1/2 - 1/(2m) sits further from 0.5 than half a float ulp,
+/// so rounding can never cross the threshold, and count/m == 1/2 is
+/// exact in both forms. On a layout with presence masks agree[v] =
+/// agree_lut[PackedMissingCell(p, u, v)], the caller's table of
+/// float(value) < 0.5f per cell; agree_lut is not read otherwise.
 void PackedAgreementRow(const PackedLabels& p, std::size_t u,
-                        std::size_t v0, std::size_t v1, char* agree);
+                        std::size_t v0, std::size_t v1,
+                        const char* agree_lut, char* agree);
 
 #if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
 /// AVX2 implementations (packed_kernel_avx2.cc, compiled with -mavx2

@@ -203,7 +203,8 @@ Result<ClustererRun> RunBaseOnSubset(const ClusteringSet& input,
   const ClusteringSet restricted = input.Restrict(subset);
   std::optional<SignatureIndex> fold;
   if (opts.fold) {
-    SignatureIndex signatures = SignatureIndex::Build(restricted);
+    SignatureIndex signatures =
+        SignatureIndex::Build(restricted, opts.missing);
     if (!signatures.trivial()) {
       TelemetryCount(run.telemetry(), "sampling.folds");
       fold.emplace(std::move(signatures));

@@ -10,7 +10,29 @@
 
 namespace clustagg {
 
-SignatureIndex SignatureIndex::Build(const ClusteringSet& input) {
+namespace {
+
+/// True when two objects carrying object v's labels are at distance
+/// 1/2 or closer, so that a group of them may be folded: the arithmetic
+/// of ClusteringSet::PairwiseDistance for a pair that agrees on every
+/// clustering labelling both, rounded through float as every instance
+/// stores it.
+bool FoldableSignature(const ClusteringSet& input, std::size_t v,
+                       const MissingValueOptions& missing) {
+  double opinionated = 0.0;
+  for (std::size_t i = 0; i < input.num_clusterings(); ++i) {
+    if (input.clustering(i).label(v) != Clustering::kMissing) {
+      opinionated += input.weight(i);
+    }
+  }
+  return static_cast<float>(missing.PairDistance(
+             0.0, opinionated, input.total_weight())) <= 0.5f;
+}
+
+}  // namespace
+
+SignatureIndex SignatureIndex::Build(const ClusteringSet& input,
+                                     const MissingValueOptions& missing) {
   const std::size_t n = input.num_objects();
   const std::size_t m = input.num_clusterings();
 
@@ -53,12 +75,23 @@ SignatureIndex SignatureIndex::Build(const ClusteringSet& input) {
       signature = index.representative_.size();
       index.representative_.push_back(v);
       index.multiplicity_.push_back(0.0);
-      bucket.push_back(signature);
+      // An unfoldable signature stays out of its bucket, so each later
+      // copy opens a signature of its own.
+      if (FoldableSignature(input, v, missing)) bucket.push_back(signature);
     }
     index.signature_of_[v] = signature;
     index.multiplicity_[signature] += 1.0;
   }
   return index;
+}
+
+bool SignatureIndex::FitsClusterCap(std::size_t max_cluster_size) const {
+  if (max_cluster_size == 0) return true;
+  const double cap = static_cast<double>(max_cluster_size);
+  for (double multiplicity : multiplicity_) {
+    if (multiplicity > cap) return false;
+  }
+  return true;
 }
 
 Clustering SignatureIndex::Expand(const Clustering& folded) const {

@@ -10,27 +10,36 @@
 namespace clustagg {
 
 /// Groups objects by their *signature*: the full m-tuple of labels an
-/// object carries across the input clusterings (missing labels included,
-/// so the grouping is exact under every missing-value policy and any
-/// input weighting). Two objects with the same signature have distance 0
-/// to each other and bit-identical distances to every third object, so
-/// any instance can be *folded*: build the s x s distance matrix over one
-/// representative per signature (s <= n distinct signatures), attach the
-/// group sizes as multiplicity weights so the folded objective equals the
-/// unfolded one, run any clusterer, and expand the folded labels back to
-/// object space. Real categorical datasets (the paper's Mushrooms /
-/// Census evaluations) are dominated by duplicate signatures, dropping
-/// the dense build from O(n^2 m) to O(s^2 m + n).
+/// object carries across the input clusterings (missing labels
+/// included). Two objects with the same signature have bit-identical
+/// distances to every third object, so any instance can be *folded*:
+/// build the s x s distance matrix over one representative per
+/// signature (s <= n distinct signatures), attach the group sizes as
+/// multiplicity weights, run any clusterer, and expand the folded labels
+/// back to object space. Real categorical datasets (the paper's
+/// Mushrooms / Census evaluations) are dominated by duplicate
+/// signatures, dropping the dense build from O(n^2 m) to O(s^2 m + n).
 ///
-/// Co-clustering duplicates is optimal without loss: within a signature
-/// group every pairwise distance is 0, so splitting a group never lowers
-/// the disagreement objective.
+/// Two members of one group are at distance X_gg = 0 unless the
+/// signature has a missing label: under kRandomCoin,
+/// X_gg = (1 - p) * (missing weight of the signature) / W, and under
+/// kIgnore X_gg is 1/2 for an all-missing signature. Build groups a
+/// signature only when X_gg <= 1/2, where co-clustering its members
+/// never raises the disagreement objective (a pair at X <= 1/2 costs no
+/// more joined than split, and the members see every third object
+/// alike). A signature with X_gg > 1/2 is left
+/// as singletons. The folded objective (CorrelationInstance::Cost,
+/// LowerBound) counts only pairs of distinct signatures: it omits the
+/// constant sum over groups of C(mult_g, 2) * X_gg, so on an input with
+/// missing labels it sits below the unfolded value by that amount.
 class SignatureIndex {
  public:
-  /// Groups all objects of `input`. Signatures are numbered 0..s-1 in
-  /// order of first appearance (ascending object id), so the result is
-  /// deterministic.
-  static SignatureIndex Build(const ClusteringSet& input);
+  /// Groups all objects of `input`, leaving a signature as singletons
+  /// when its members' mutual distance under `missing` exceeds 1/2.
+  /// Signatures are numbered 0..s-1 in order of first appearance
+  /// (ascending object id), so the result is deterministic.
+  static SignatureIndex Build(const ClusteringSet& input,
+                              const MissingValueOptions& missing = {});
 
   /// Number of objects grouped (n).
   std::size_t num_objects() const { return signature_of_.size(); }
@@ -41,6 +50,11 @@ class SignatureIndex {
   /// True when folding would not shrink the instance (s == n): every
   /// object is unique, and the fold is a documented no-op.
   bool trivial() const { return num_signatures() == num_objects(); }
+
+  /// True when no group holds more than `max_cluster_size` objects
+  /// (0 = uncapped). A folded group is never split, so a run under a
+  /// cluster-size cap folds only when every group fits the cap.
+  bool FitsClusterCap(std::size_t max_cluster_size) const;
 
   /// s / n in (0, 1]; 1.0 when folding is a no-op.
   double fold_ratio() const {

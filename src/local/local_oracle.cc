@@ -59,7 +59,7 @@ Result<LocalMembershipOracle> LocalMembershipOracle::FromClusterings(
 Result<LocalMembershipOracle> LocalMembershipOracle::FromClusteringsFolded(
     const ClusteringSet& input, const MissingValueOptions& missing,
     const LocalOracleOptions& options) {
-  SignatureIndex signatures = SignatureIndex::Build(input);
+  SignatureIndex signatures = SignatureIndex::Build(input, missing);
   Result<std::shared_ptr<const LazyDistanceSource>> source =
       LazyDistanceSource::Build(input.Restrict(signatures.representatives()),
                                 missing);

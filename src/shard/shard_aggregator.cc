@@ -46,13 +46,18 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
     return RunUnsharded(input, options);
   }
 
-  // Duplicate signatures have pairwise distance 0, so they always share a
-  // component: decomposition runs over the s representatives and the
-  // agreement scan drops from O(n^2 m) to O(s^2 m).
+  // The index groups duplicates only where co-clustering them is optimal
+  // (signature_index.h), so each group may stand as one node:
+  // decomposition runs over the s representatives and the agreement scan
+  // drops from O(n^2 m) to O(s^2 m). A group larger than the cluster-size
+  // cap could not be split, so then the scan runs unfolded.
   std::optional<SignatureIndex> fold_index;
   if (options.fold) {
     InstrumentedSpan fold_span(telemetry, "fold_index");
-    fold_index.emplace(SignatureIndex::Build(input));
+    SignatureIndex signatures = SignatureIndex::Build(input, options.missing);
+    if (signatures.FitsClusterCap(options.max_cluster_size)) {
+      fold_index.emplace(std::move(signatures));
+    }
   }
   const std::size_t nodes = fold_index ? fold_index->num_signatures() : n;
   if (options.shard.mode == ShardingMode::kAuto &&

@@ -314,7 +314,7 @@ void StreamAggregator::RebuildFoldIndex() {
   // One all-zero clustering, or the non-empty applied columns whose
   // labels and weights Ingest and RestoreState validated.
   CLUSTAGG_CHECK(input.ok());
-  fold_index_ = SignatureIndex::Build(*input);
+  fold_index_ = SignatureIndex::Build(*input, options_.missing);
 }
 
 void StreamAggregator::ExtendSolutionToNewObjects() {

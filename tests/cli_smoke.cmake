@@ -158,6 +158,24 @@ if(NOT rc EQUAL 0 OR NOT err MATCHES "aggregated 3 clusterings")
                       "${rc}: ${err}")
 endif()
 
+# Folding keeps the optimum when duplicates are far apart: objects 0 and
+# 1 share the signature (?, ?, 0), at distance 2/3 > 1/2 under --coin-p 0,
+# so the index must leave them unfolded and EXACT must find D = 2 as it
+# does unfolded (grouping them forces D = 3).
+file(WRITE ${WORK}/m1.labels "? ? 0 1 2\n")
+file(WRITE ${WORK}/m2.labels "? ? 0 1 2\n")
+file(WRITE ${WORK}/m3.labels "0 0 1 1 2\n")
+foreach(fold "" "--fold")
+  execute_process(COMMAND ${CLI} aggregate ${WORK}/m1.labels
+                  ${WORK}/m2.labels ${WORK}/m3.labels --algorithm exact
+                  --coin-p 0 ${fold}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT err MATCHES "D\\(C\\) = 2\\.0")
+    message(FATAL_ERROR "exact --coin-p 0 ${fold} should find D(C) = 2.0, "
+                        "got ${rc}: ${err}")
+  endif()
+endforeach()
+
 # Unknown flags and malformed values are InvalidArgument (exit 2), never
 # silently ignored or read as 0. --coin-p is a probability: 7 would make
 # expected disagreements negative.

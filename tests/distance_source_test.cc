@@ -473,8 +473,9 @@ TEST(PackedKernelTest, PackingEligibilityFollowsInstanceShape) {
     return (*lazy)->uses_packed_labels();
   };
   EXPECT_TRUE(packed_of(RandomInput(20, 5, 4, 3)));
-  // A missing label or a non-unit weight must fall back automatically.
-  EXPECT_FALSE(packed_of(RandomInput(20, 5, 4, 3, 0.2)));
+  // A missing label packs with presence masks; a non-unit weight must
+  // fall back to the general loop automatically.
+  EXPECT_TRUE(packed_of(RandomInput(20, 5, 4, 3, 0.2)));
   EXPECT_FALSE(packed_of(RandomInput(20, 5, 4, 3, 0.0, true)));
 }
 

@@ -528,8 +528,9 @@ TEST(PackedKernelProperty, MixedWidthBoundaryFuzz) {
   }
 }
 
-// (p3) Eligibility: instances with missing labels or non-unit weights
-// must fall back to the general loop automatically — and still answer
+// (p3) Eligibility: instances with non-unit weights must fall back to
+// the general loop automatically, unit-weight instances with missing
+// labels pack with presence masks — and both still answer
 // float(PairwiseDistance) bit for bit.
 TEST(PackedKernelProperty, MissingAndWeightedInstancesFallBack) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -560,7 +561,7 @@ TEST(PackedKernelProperty, MissingAndWeightedInstancesFallBack) {
           Result<std::shared_ptr<const LazyDistanceSource>> lazy =
               LazyDistanceSource::Build(input, {});
           ASSERT_TRUE(lazy.ok());
-          EXPECT_FALSE((*lazy)->uses_packed_labels());
+          EXPECT_EQ((*lazy)->uses_packed_labels(), !weighted);
         }
         EXPECT_EQ(ReferenceDistances(input),
                   LazyDistancesAtTier(input,
@@ -637,6 +638,225 @@ TEST(PackedKernelProperty, PackedCountMatchesReferenceCount) {
                   expected)
             << "u=" << u << " v=" << v;
       }
+    }
+  }
+}
+
+/// The missing-value configurations every missing-cell check sweeps:
+/// the coin at p in {0, 0.3, 0.5, 1} and kIgnore.
+std::vector<MissingValueOptions> MissingPolicies() {
+  std::vector<MissingValueOptions> policies;
+  for (const double p : {0.0, 0.3, 0.5, 1.0}) {
+    MissingValueOptions coin;
+    coin.coin_together_probability = p;
+    policies.push_back(coin);
+  }
+  MissingValueOptions ignore;
+  ignore.policy = MissingValuePolicy::kIgnore;
+  policies.push_back(ignore);
+  return policies;
+}
+
+std::string PolicyName(const MissingValueOptions& missing) {
+  return missing.policy == MissingValuePolicy::kIgnore
+             ? std::string("ignore")
+             : "coin p=" + std::to_string(missing.coin_together_probability);
+}
+
+// (p7) The (observed, mismatched) cell table holds the general loop's
+// own result. For every cell of an m-column instance, a two-object input
+// lands exactly there: its first `mismatched` columns separate the pair,
+// the next ones up to `observed` join it, and the rest are missing for
+// u, for v or for both in turn. The packed lazy answer (point query,
+// FillRow and AgreementRow) must equal float(PairwiseDistance).
+TEST(PackedKernelProperty, MissingCellTableMatchesGeneralLoop) {
+  for (const std::size_t m : {std::size_t{5}, std::size_t{40}}) {
+    for (std::size_t observed = 0; observed <= m; ++observed) {
+      for (std::size_t mismatched = 0; mismatched <= observed;
+           ++mismatched) {
+        std::vector<Clustering> inputs;
+        for (std::size_t i = 0; i < m; ++i) {
+          Clustering::Label lu = 0;
+          Clustering::Label lv = i < mismatched ? 1 : 0;
+          if (i >= observed) {
+            const std::size_t side = (i + observed) % 3;
+            if (side != 1) lu = Clustering::kMissing;
+            if (side != 0) lv = Clustering::kMissing;
+          }
+          inputs.emplace_back(std::vector<Clustering::Label>{lu, lv});
+        }
+        const ClusteringSet input =
+            *ClusteringSet::Create(std::move(inputs));
+        for (const MissingValueOptions& missing : MissingPolicies()) {
+          SCOPED_TRACE("m=" + std::to_string(m) + " observed=" +
+                       std::to_string(observed) + " mismatched=" +
+                       std::to_string(mismatched) + " " +
+                       PolicyName(missing));
+          Result<std::shared_ptr<const LazyDistanceSource>> lazy =
+              LazyDistanceSource::Build(input, missing);
+          ASSERT_TRUE(lazy.ok());
+          EXPECT_TRUE((*lazy)->uses_packed_labels());
+          const double expected =
+              static_cast<float>(input.PairwiseDistance(0, 1, missing));
+          std::vector<double> row(2);
+          std::vector<char> agree(2);
+          (*lazy)->FillRow(0, row);
+          (*lazy)->AgreementRow(1, agree);
+          EXPECT_EQ((*lazy)->distance(0, 1), expected);
+          EXPECT_EQ(row[1], expected);
+          EXPECT_EQ(row[0], 0.0);
+          EXPECT_EQ(agree[0] != 0, expected < 0.5);
+          EXPECT_EQ(agree[1], 1);
+        }
+      }
+    }
+  }
+}
+
+// (p8) Layouts with missing cells, among them a mixed-width one (1-, 2-
+// and 4-bit classes over three words) and the single-class one- and
+// two-word layouts the row kernel unrolls: the dense build, lazy FillRow
+// and AgreementRow all answer float(PairwiseDistance) bit for bit under
+// both forced tiers and every missing-value policy. A column's alphabet
+// counts the missing symbol.
+TEST(PackedKernelProperty, MissingCellLayoutsMatchReference) {
+  struct Layout {
+    const char* name;
+    std::vector<std::size_t> alphabets;
+    std::vector<std::uint32_t> class_widths;
+    std::size_t words;
+  };
+  const auto repeat = [](std::vector<std::pair<std::size_t, std::size_t>>
+                             runs) {
+    std::vector<std::size_t> alphabets;
+    for (const auto& [count, k] : runs) {
+      alphabets.insert(alphabets.end(), count, k);
+    }
+    return alphabets;
+  };
+  const std::vector<Layout> layouts = {
+      {"mixed 1/2/4-bit", repeat({{40, 2}, {20, 4}, {10, 9}}), {4, 2, 1}, 3},
+      {"votes-like", repeat({{16, 3}}), {2}, 1},
+      {"mushrooms-like", repeat({{6, 2}, {5, 4}, {11, 10}}), {4}, 2},
+      {"two 1-bit words", repeat({{100, 2}}), {1}, 2},
+      {"8-bit", repeat({{5, 200}}), {8}, 1},
+  };
+  const std::size_t n = 37;
+  for (const Layout& layout : layouts) {
+    SCOPED_TRACE(layout.name);
+    Rng rng(layout.alphabets.size());
+    const std::size_t m = layout.alphabets.size();
+    std::vector<Clustering> inputs;
+    std::vector<Clustering::Label> rows(n * m);
+    for (std::size_t i = 0; i < m; ++i) {
+      // Symbol 0 of each alphabet is the missing label; every symbol
+      // appears, so the lane width is pinned.
+      const std::size_t k = layout.alphabets[i];
+      std::vector<Clustering::Label> labels(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        const std::size_t symbol = v < k ? v : rng.NextBounded(k);
+        labels[v] = symbol == 0 ? Clustering::kMissing
+                                : static_cast<Clustering::Label>(symbol);
+        rows[v * m + i] = labels[v];
+      }
+      inputs.emplace_back(std::move(labels));
+    }
+    const ClusteringSet input = *ClusteringSet::Create(std::move(inputs));
+    const std::unique_ptr<internal::PackedLabels> packed =
+        internal::PackLabelRows(rows.data(), n, m, true);
+    ASSERT_NE(packed, nullptr);
+    EXPECT_TRUE(packed->has_missing());
+    EXPECT_EQ(packed->words_per_object, layout.words);
+    std::vector<std::uint32_t> widths;
+    for (const internal::PackedClass& c : packed->classes) {
+      widths.push_back(c.width);
+    }
+    EXPECT_EQ(widths, layout.class_widths);
+
+    for (const MissingValueOptions& missing : MissingPolicies()) {
+      std::vector<double> reference(n * n);
+      for (std::size_t u = 0; u < n; ++u) {
+        for (std::size_t v = 0; v < n; ++v) {
+          reference[u * n + v] =
+              static_cast<float>(input.PairwiseDistance(u, v, missing));
+        }
+      }
+      for (internal::PackedKernelTier tier :
+           {internal::PackedKernelTier::kSwar,
+            internal::PackedKernelTier::kAvx2}) {
+        SCOPED_TRACE(PolicyName(missing) + " tier=" +
+                     internal::PackedKernelTierName(tier));
+        TierOverride guard(tier);
+        Result<std::shared_ptr<const DenseDistanceSource>> dense =
+            DenseDistanceSource::Build(input, missing, 2);
+        Result<std::shared_ptr<const LazyDistanceSource>> lazy =
+            LazyDistanceSource::Build(input, missing);
+        ASSERT_TRUE(dense.ok());
+        ASSERT_TRUE(lazy.ok());
+        EXPECT_TRUE((*lazy)->uses_packed_labels());
+        std::vector<double> row(n);
+        std::vector<char> agree(n);
+        std::size_t mismatches = 0;
+        for (std::size_t u = 0; u < n; ++u) {
+          (*lazy)->FillRow(u, row);
+          (*lazy)->AgreementRow(u, agree);
+          for (std::size_t v = 0; v < n; ++v) {
+            const double expected = reference[u * n + v];
+            mismatches += (*dense)->distance(u, v) != expected;
+            mismatches += (*lazy)->distance(u, v) != expected;
+            mismatches += row[v] != expected;
+            mismatches += (agree[v] != 0) != (expected < 0.5);
+          }
+        }
+        EXPECT_EQ(mismatches, 0u);
+      }
+    }
+  }
+}
+
+// (p9) Folding keeps EXACT's optimum under every coin bias: the index
+// groups a signature only while its members sit at distance <= 1/2, so
+// folded and unfolded EXACT reach the same E_D on small random inputs
+// with duplicated, partly missing label rows — including p = 0, where
+// duplicates with many missing labels are far apart.
+TEST(FoldProperty, ExactFoldedMatchesUnfoldedUnderCoinBias) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t m = 2 + rng.NextBounded(3);
+    const std::size_t signatures = 3 + rng.NextBounded(3);
+    std::vector<std::vector<Clustering::Label>> rows(signatures);
+    for (auto& row : rows) {
+      for (std::size_t i = 0; i < m; ++i) {
+        row.push_back(rng.NextBernoulli(0.4)
+                          ? Clustering::kMissing
+                          : static_cast<Clustering::Label>(
+                                rng.NextBounded(3)));
+      }
+    }
+    std::vector<std::size_t> objects;
+    for (std::size_t g = 0; g < signatures; ++g) {
+      objects.insert(objects.end(), 1 + rng.NextBounded(2), g);
+    }
+    const std::vector<std::size_t> order = rng.Permutation(objects.size());
+    std::vector<Clustering> inputs;
+    for (std::size_t i = 0; i < m; ++i) {
+      std::vector<Clustering::Label> labels;
+      for (std::size_t v : order) labels.push_back(rows[objects[v]][i]);
+      inputs.emplace_back(std::move(labels));
+    }
+    const ClusteringSet input = *ClusteringSet::Create(std::move(inputs));
+    for (const double p : {0.0, 0.3}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " p=" + std::to_string(p));
+      AggregatorOptions options;
+      options.algorithm = AggregationAlgorithm::kExact;
+      options.missing.coin_together_probability = p;
+      Result<AggregationResult> unfolded = Aggregate(input, options);
+      options.fold = true;
+      Result<AggregationResult> folded = Aggregate(input, options);
+      ASSERT_TRUE(unfolded.ok()) << unfolded.status();
+      ASSERT_TRUE(folded.ok()) << folded.status();
+      EXPECT_EQ(folded->total_disagreements, unfolded->total_disagreements);
     }
   }
 }

@@ -576,6 +576,29 @@ TEST(MaxClusterSizeTest, CountsFoldMultiplicitiesInObjectSpace) {
   for (const auto& [label, size] : sizes) EXPECT_LE(size, 6u);
 }
 
+TEST(MaxClusterSizeTest, FoldSkipsGroupsLargerThanTheCap) {
+  // Objects 0 and 1 share a signature. A folded group is never split, so
+  // under a cap of 1 the run must stay unfolded, on both the plain and
+  // the sharded path, and every cluster must be a singleton.
+  std::vector<Clustering> clusterings;
+  clusterings.emplace_back(std::vector<Clustering::Label>{0, 0, 1});
+  clusterings.emplace_back(std::vector<Clustering::Label>{0, 0, 1});
+  const ClusteringSet input = *ClusteringSet::Create(std::move(clusterings));
+  for (const ShardingMode mode : {ShardingMode::kOff, ShardingMode::kFixed}) {
+    SCOPED_TRACE(mode == ShardingMode::kOff ? "unsharded" : "sharded");
+    AggregatorOptions options;
+    options.algorithm = AggregationAlgorithm::kLocalSearch;
+    options.fold = true;
+    options.max_cluster_size = 1;
+    options.shard.mode = mode;
+    options.shard.num_shards = 2;
+    Result<AggregationResult> result = Aggregate(input, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_FALSE(result->folded);
+    EXPECT_EQ(result->clustering.NumClusters(), 3u);
+  }
+}
+
 // ------------------------------------------------------ stream rebuild
 
 TEST(ShardStreamTest, RebuildRoutesThroughShardingPipeline) {

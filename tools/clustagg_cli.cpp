@@ -138,7 +138,7 @@ constexpr FlagSpec kFlags[] = {
     {"threads", kInt, kSolve, "N",
      "worker threads (default 0, one per hardware core)"},
     {"fold", kBool, kRun, "",
-     "solve one weighted object per distinct label tuple; exact"},
+     "solve one weighted object per distinct label tuple"},
     {"shards", kString, kSolve, "auto|off|N",
      "solve agreement components in parallel (default off; docs/sharding.md)"},
     {"max-cluster-size", kPositive, kSolve, "N",

@@ -13,9 +13,8 @@
 // scheduling overhead).
 //
 // Part 3 measures per-query latency of the lazy backend on the packed
-// single-word kernel (complete labels, unit weights), on the packed
-// missing-cell kernel (10% missing labels, unit weights) and on the
-// general path (the same labels, non-unit weights). Queries walk a precomputed pair buffer so the
+// single-word kernel (complete labels, unit weights) and on the general
+// weighted/missing path. Queries walk a precomputed pair buffer so the
 // numbers isolate the distance call from index generation (an RNG draw
 // costs more than the kernel under test).
 //
@@ -254,11 +253,9 @@ void QueryLatency(JsonObject* json) {
 
   // Plain path: complete labels, unit weights.
   const ClusteringSet complete = PlantedInput(n, m, 8, 0.2, 5);
-  // Missing-cell path: the same shape with 10%% missing labels. General
-  // path: those labels again under non-unit weights.
+  // General path: the same shape with 10%% missing labels.
   Rng rng(7);
   std::vector<Clustering> noisy;
-  std::vector<double> weights;
   for (std::size_t i = 0; i < m; ++i) {
     std::vector<Clustering::Label> labels(n);
     for (std::size_t v = 0; v < n; ++v) {
@@ -267,11 +264,9 @@ void QueryLatency(JsonObject* json) {
                       : complete.clustering(i).label(v);
     }
     noisy.emplace_back(std::move(labels));
-    weights.push_back(0.5 + 0.125 * static_cast<double>(i));
   }
-  const ClusteringSet with_missing = *ClusteringSet::Create(noisy);
-  const ClusteringSet weighted =
-      *ClusteringSet::Create(std::move(noisy), std::move(weights));
+  const ClusteringSet with_missing =
+      *ClusteringSet::Create(std::move(noisy));
 
   // Precomputed random pair buffer, cycled: two RNG draws cost ~14 ns —
   // more than the kernels under test — so drawing inside the timed loop
@@ -294,10 +289,8 @@ void QueryLatency(JsonObject* json) {
     const char* key;
     const ClusteringSet* input;
   } cases[] = {{"packed fast path (SWAR word)", "packed_query_ns", &complete},
-               {"packed missing cells (10% missing)", "missing_cell_ns",
-                &with_missing},
-               {"general path (10% missing, weighted)", "general_path_ns",
-                &weighted}};
+               {"general path (10% missing)", "general_path_ns",
+                &with_missing}};
   for (const auto& c : cases) {
     TierGuard guard(PackedKernelTier::kSwar);
     Result<std::shared_ptr<const LazyDistanceSource>> lazy =

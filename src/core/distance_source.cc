@@ -64,37 +64,32 @@ struct DistanceColumns {
   /// one with presence masks. The query path trades the arithmetic for
   /// an L1 load.
   std::vector<double> packed_value;
-  /// packed_agree[cell] = float(packed value) < 0.5f, for layouts with
-  /// presence masks only (plain layouts test 2 * count < m instead).
-  std::vector<char> packed_agree;
 };
 
 }  // namespace internal
 
 namespace {
 
-/// Widest instance with a missing label whose pairs are packed: its
-/// (m+1)^2 cell table stays at most 64 Ki entries, and every per-pair
-/// count fits CountLaneBits' byte sums.
+/// Widest instance with a missing label whose pairs are packed. The
+/// bound is on the (m+1)^2 cell table, which grows quadratically in m:
+/// at 255 it holds 64 Ki doubles (512 KB), beyond that the general loop
+/// runs instead.
 constexpr std::size_t kMaxMissingCellColumns = 255;
 
-/// Fills the (observed, mismatched) cell tables of a unit-weight
+/// Fills the (observed, mismatched) cell table of a unit-weight
 /// instance with a missing label. With unit weights the general loop's
 /// sums are exactly double(observed) and double(mismatched), so every
 /// entry is that loop's result for the pairs landing in the cell. Cells
 /// with mismatched > observed never occur and stay 0.
-void BuildMissingCellTables(internal::DistanceColumns& cols) {
+void BuildMissingCellTable(internal::DistanceColumns& cols) {
   const std::size_t stride = cols.m + 1;
   cols.packed_value.assign(stride * stride, 0.0);
-  cols.packed_agree.assign(stride * stride, 0);
   for (std::size_t observed = 0; observed <= cols.m; ++observed) {
     for (std::size_t mismatched = 0; mismatched <= observed; ++mismatched) {
-      const float value = static_cast<float>(cols.missing.PairDistance(
-          static_cast<double>(mismatched), static_cast<double>(observed),
-          cols.total_weight));
-      cols.packed_value[observed * stride + mismatched] = value;
-      cols.packed_agree[observed * stride + mismatched] =
-          value < 0.5f ? 1 : 0;
+      cols.packed_value[observed * stride + mismatched] =
+          static_cast<float>(cols.missing.PairDistance(
+              static_cast<double>(mismatched),
+              static_cast<double>(observed), cols.total_weight));
     }
   }
 }
@@ -129,7 +124,7 @@ internal::DistanceColumns MakeColumns(const ClusteringSet& input,
       internal::PackLabelRows(rows.data(), cols.n, cols.m, any_missing);
   CLUSTAGG_CHECK(cols.packed != nullptr);
   if (any_missing) {
-    BuildMissingCellTables(cols);
+    BuildMissingCellTable(cols);
     return cols;
   }
   cols.packed_value =
@@ -432,11 +427,11 @@ void LazyDistanceSource::AgreementRow(std::size_t u,
   const std::size_t n = cols.n;
   CLUSTAGG_CHECK(u < n && agree.size() >= n);
   if (cols.packed != nullptr) {
-    // Integer threshold per pair (2 * mismatches < m), or the cell
-    // table's precomputed float compare — no float materialization
-    // either way (see PackedAgreementRow).
+    // Integer threshold per pair (2 * mismatches < m) on a plain layout,
+    // the cell table's float-rounded value against 0.5 on one with
+    // presence masks (see PackedAgreementRow).
     internal::PackedAgreementRow(*cols.packed, u, 0, n,
-                                 cols.packed_agree.data(), agree.data());
+                                 cols.packed_value.data(), agree.data());
     agree[u] = 1;  // X_uu = 0, as in FillRow
     return;
   }

@@ -153,7 +153,8 @@ class LazyDistanceSource final : public DistanceSource {
 
   /// True when this source carries the bit-packed label representation:
   /// every weight is 1.0, and an instance with a missing label has at
-  /// most 255 clusterings. Introspection for tests and benches; queries
+  /// most 255 clusterings (which bounds its (m+1) x (m+1) cell table at
+  /// 64 Ki entries). Introspection for tests and benches; queries
   /// answer bit-identically either way.
   bool uses_packed_labels() const;
 

@@ -260,39 +260,35 @@ void RowFillGeneral(const PackedLabels& p, std::size_t u, std::size_t v0,
   }
 }
 
-/// Cell loop over a single-class layout of kWords words with presence
+/// Cell loop over a single-class layout of two words with presence
 /// masks: the words' lane bits are summed lane-wise before one count
-/// each (so two words need width >= 2; see CountLaneBits). Calls
-/// emit(i, cell) for v = v0 + i.
-template <std::size_t kWords, typename Emit>
-void MissingCellsOneClass(const PackedLabels& p, std::size_t u,
+/// each (so it needs width >= 2; see CountLaneBits). Calls emit(i, cell)
+/// for v = v0 + i.
+template <typename Emit>
+void MissingCellsTwoWords(const PackedLabels& p, std::size_t u,
                           std::size_t v0, std::size_t v1, Emit emit) {
   const PackedClass& c = p.classes[0];
   const std::uint32_t width = c.width;
   const std::uint64_t mask = c.lsb_mask;
   const std::size_t stride = p.cell_stride();
-  std::uint64_t ua[kWords];
-  std::uint64_t up[kWords];
-  for (std::size_t k = 0; k < kWords; ++k) {
-    ua[k] = p.row(u)[k];
-    up[k] = p.present_row(u)[k];
-  }
+  const std::uint64_t ua0 = p.row(u)[0];
+  const std::uint64_t ua1 = p.row(u)[1];
+  const std::uint64_t up0 = p.present_row(u)[0];
+  const std::uint64_t up1 = p.present_row(u)[1];
   const std::uint64_t* vw = p.row(v0);
   const std::uint64_t* vp = p.present_row(v0);
   const std::size_t count = v1 - v0;
-  for (std::size_t i = 0; i < count; ++i, vw += kWords, vp += kWords) {
-    if ((i & (32 / kWords - 1)) == 0 && i + 64 < count) {
-      __builtin_prefetch(vw + 64 * kWords, 0, 0);
-      __builtin_prefetch(vp + 64 * kWords, 0, 0);
+  for (std::size_t i = 0; i < count; ++i, vw += 2, vp += 2) {
+    if ((i & 15u) == 0 && i + 64 < count) {
+      __builtin_prefetch(vw + 128, 0, 0);
+      __builtin_prefetch(vp + 128, 0, 0);
     }
-    std::uint64_t observed = 0;
-    std::uint64_t mismatched = 0;
-    for (std::size_t k = 0; k < kWords; ++k) {
-      const std::uint64_t both = up[k] & vp[k];
-      observed += both;
-      mismatched += CollapseToLaneLsb(ua[k] ^ vw[k], width, mask) & both;
-    }
-    emit(i, CountLaneBits(observed, width) * stride +
+    const std::uint64_t both0 = up0 & vp[0];
+    const std::uint64_t both1 = up1 & vp[1];
+    const std::uint64_t mismatched =
+        (CollapseToLaneLsb(ua0 ^ vw[0], width, mask) & both0) +
+        (CollapseToLaneLsb(ua1 ^ vw[1], width, mask) & both1);
+    emit(i, CountLaneBits(both0 + both1, width) * stride +
                 CountLaneBits(mismatched, width));
   }
 }
@@ -302,19 +298,17 @@ void MissingCellsOneClass(const PackedLabels& p, std::size_t u,
 template <typename Emit>
 void ForEachMissingCell(const PackedLabels& p, std::size_t u, std::size_t v0,
                         std::size_t v1, Emit emit) {
-  if (p.classes.size() == 1 && p.words_per_object == 1) {
-    MissingCellsOneClass<1>(p, u, v0, v1, emit);
-  } else if (p.classes.size() == 1 && p.words_per_object == 2 &&
-             p.classes[0].width >= 2) {
-    MissingCellsOneClass<2>(p, u, v0, v1, emit);
-  } else {
-    for (std::size_t v = v0; v < v1; ++v) {
-      if (((v - v0) & 15u) == 0 && v + 16 < v1) {
-        __builtin_prefetch(p.row(v + 16), 0, 0);
-        __builtin_prefetch(p.present_row(v + 16), 0, 0);
-      }
-      emit(v - v0, PackedMissingCell(p, u, v));
+  if (p.classes.size() == 1 && p.words_per_object == 2 &&
+      p.classes[0].width >= 2) {
+    MissingCellsTwoWords(p, u, v0, v1, emit);
+    return;
+  }
+  for (std::size_t v = v0; v < v1; ++v) {
+    if (((v - v0) & 15u) == 0 && v + 16 < v1) {
+      __builtin_prefetch(p.row(v + 16), 0, 0);
+      __builtin_prefetch(p.present_row(v + 16), 0, 0);
     }
+    emit(v - v0, PackedMissingCell(p, u, v));
   }
 }
 
@@ -387,11 +381,12 @@ void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
 }
 
 void PackedAgreementRow(const PackedLabels& p, std::size_t u, std::size_t v0,
-                        std::size_t v1, const char* agree_lut, char* agree) {
+                        std::size_t v1, const double* value_lut,
+                        char* agree) {
   CLUSTAGG_CHECK(u < p.n && v0 <= v1 && v1 <= p.n);
   if (p.has_missing()) {
     ForEachMissingCell(p, u, v0, v1, [&](std::size_t i, std::size_t cell) {
-      agree[i] = agree_lut[cell];
+      agree[i] = value_lut[cell] < 0.5 ? 1 : 0;
     });
     return;
   }

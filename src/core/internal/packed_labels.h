@@ -301,12 +301,13 @@ void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
 /// float-rounded distance against 0.5 for any m below ~2^24:
 /// count/m <= 1/2 - 1/(2m) sits further from 0.5 than half a float ulp,
 /// so rounding can never cross the threshold, and count/m == 1/2 is
-/// exact in both forms. On a layout with presence masks agree[v] =
-/// agree_lut[PackedMissingCell(p, u, v)], the caller's table of
-/// float(value) < 0.5f per cell; agree_lut is not read otherwise.
+/// exact in both forms. On a layout with presence masks agree[v] is
+/// value_lut[PackedMissingCell(p, u, v)] < 0.5, value_lut being the
+/// caller's (m+1) x (m+1) cell table (whose entries are already rounded
+/// through float); value_lut is not read otherwise.
 void PackedAgreementRow(const PackedLabels& p, std::size_t u,
                         std::size_t v0, std::size_t v1,
-                        const char* agree_lut, char* agree);
+                        const double* value_lut, char* agree);
 
 #if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
 /// AVX2 implementations (packed_kernel_avx2.cc, compiled with -mavx2

@@ -714,11 +714,12 @@ TEST(PackedKernelProperty, MissingCellTableMatchesGeneralLoop) {
 }
 
 // (p8) Layouts with missing cells, among them a mixed-width one (1-, 2-
-// and 4-bit classes over three words) and the single-class one- and
-// two-word layouts the row kernel unrolls: the dense build, lazy FillRow
-// and AgreementRow all answer float(PairwiseDistance) bit for bit under
-// both forced tiers and every missing-value policy. A column's alphabet
-// counts the missing symbol.
+// and 4-bit classes over three words), single-word ones and two-word
+// single-class ones on both sides of the row kernel's unroll (4-bit lanes
+// take it, 1-bit lanes do not): the dense build, lazy FillRow and
+// AgreementRow all answer float(PairwiseDistance) bit for bit under both
+// forced tiers and every missing-value policy. A column's alphabet counts
+// the missing symbol.
 TEST(PackedKernelProperty, MissingCellLayoutsMatchReference) {
   struct Layout {
     const char* name;
@@ -810,6 +811,55 @@ TEST(PackedKernelProperty, MissingCellLayoutsMatchReference) {
         }
         EXPECT_EQ(mismatches, 0u);
       }
+    }
+  }
+}
+
+// (p8b) The width bound of the missing-cell table: an instance with a
+// missing label packs up to m = 255 and takes the general loop from
+// m = 256 on, and the dense build, the lazy point query, FillRow and
+// AgreementRow answer float(PairwiseDistance) bit for bit on both sides
+// of the boundary under every missing-value policy.
+TEST(PackedKernelProperty, MissingCellTableWidthBoundary) {
+  const std::size_t n = 12;
+  for (const std::size_t m : {std::size_t{255}, std::size_t{256}}) {
+    Rng rng(m);
+    std::vector<Clustering> inputs;
+    for (std::size_t i = 0; i < m; ++i) {
+      std::vector<Clustering::Label> labels(n);
+      for (std::size_t v = 0; v < n; ++v) {
+        labels[v] = rng.NextBernoulli(0.2)
+                        ? Clustering::kMissing
+                        : static_cast<Clustering::Label>(rng.NextBounded(3));
+      }
+      inputs.emplace_back(std::move(labels));
+    }
+    const ClusteringSet input = *ClusteringSet::Create(std::move(inputs));
+    for (const MissingValueOptions& missing : MissingPolicies()) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " " + PolicyName(missing));
+      Result<std::shared_ptr<const DenseDistanceSource>> dense =
+          DenseDistanceSource::Build(input, missing, 2);
+      Result<std::shared_ptr<const LazyDistanceSource>> lazy =
+          LazyDistanceSource::Build(input, missing);
+      ASSERT_TRUE(dense.ok());
+      ASSERT_TRUE(lazy.ok());
+      EXPECT_EQ((*lazy)->uses_packed_labels(), m == 255);
+      std::vector<double> row(n);
+      std::vector<char> agree(n);
+      std::size_t mismatches = 0;
+      for (std::size_t u = 0; u < n; ++u) {
+        (*lazy)->FillRow(u, row);
+        (*lazy)->AgreementRow(u, agree);
+        for (std::size_t v = 0; v < n; ++v) {
+          const double expected =
+              static_cast<float>(input.PairwiseDistance(u, v, missing));
+          mismatches += (*dense)->distance(u, v) != expected;
+          mismatches += (*lazy)->distance(u, v) != expected;
+          mismatches += row[v] != expected;
+          mismatches += (agree[v] != 0) != (expected < 0.5);
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
     }
   }
 }

@@ -2,21 +2,22 @@
 //
 // Part 1 pits the seed's clustering-major row-wise dense kernel (kept
 // here as a frozen baseline) against the shipped bit-packed SWAR row
-// kernel (and the AVX2 kernel when compiled in) on an n = 4096, m = 9
-// instance, checking bit-identical output at every tier and reporting
-// the speedups.
+// kernel and the AVX2 kernel (on a CPU with AVX2) on an n = 4096, m = 9
+// instance, at 1 thread and at every hardware thread, checking
+// bit-identical output at every tier and reporting the speedups.
 //
 // Part 2 measures parallel dense construction scaling at 1, 2, 4, and 8
-// threads — the band-partitioned builder should scale near-linearly up
-// to the host's actual core count (see "host.hardware_threads" in the
-// emitted json; on a 1-core container every multi-thread row is pure
-// scheduling overhead).
+// threads on the CPU's default tier — the band-partitioned builder
+// should scale near-linearly up to the host's actual core count (see
+// "host.hardware_threads" in the emitted json; on a 1-core container
+// every multi-thread row is pure scheduling overhead).
 //
 // Part 3 measures per-query latency of the lazy backend on the packed
-// single-word kernel (complete labels, unit weights) and on the general
-// weighted/missing path. Queries walk a precomputed pair buffer so the
-// numbers isolate the distance call from index generation (an RNG draw
-// costs more than the kernel under test).
+// single-word kernel (complete labels, unit weights), on the packed
+// missing-cell kernel (10% missing labels, unit weights) and on the
+// general loop (the same labels under non-unit weights). Queries walk a
+// precomputed pair buffer so the numbers isolate the distance call from
+// index generation (an RNG draw costs more than the kernel under test).
 //
 // Part 4 measures duplicate-signature folding on a Mushrooms-shaped
 // fixture (n = 8192 objects, 512 distinct signatures): full pipeline
@@ -24,6 +25,11 @@
 //
 // Parts 1-4 are written to BENCH_backends.json (current directory) so
 // future PRs can track the trajectory.
+//
+// Every figure of parts 1-4 is the median of kRuns timed runs after one
+// untimed warm-up run, which takes the one-time costs (thread start-up,
+// cold caches); each run still allocates and first-touches its own
+// output, as a real build does.
 //
 // Part 5 runs a full (non-sampled) LOCALSEARCH under the lazy backend at
 // a size where the dense matrix would not be built (default n = 50000:
@@ -33,8 +39,10 @@
 // Usage: bench_backends [n_lazy] (default 50000; pass a smaller n for a
 // quick smoke run, 0 to skip part 5).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "bench_common.h"
 #include "clustagg/clustagg.h"
@@ -49,6 +57,24 @@ namespace {
 using namespace clustagg;
 using bench::JsonObject;
 using internal::PackedKernelTier;
+
+constexpr std::size_t kRuns = 7;
+
+/// Median wall time of kRuns calls of `fn`, after one untimed warm-up
+/// call. `fn` returns what it built, which is freed after the clock
+/// stops, so no sample includes tearing down its predecessor's output.
+template <typename Fn>
+double MedianSeconds(Fn&& fn) {
+  fn();
+  std::vector<double> samples(kRuns);
+  for (double& sample : samples) {
+    Stopwatch watch;
+    [[maybe_unused]] const auto built = fn();
+    sample = watch.ElapsedSeconds();
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[kRuns / 2];
+}
 
 /// Forces a kernel tier for one measurement and restores the default on
 /// scope exit. Tier changes only affect sources built afterwards, so
@@ -175,47 +201,68 @@ void LegacyVsPackedKernel(JsonObject* json) {
   const std::size_t n = 4096;
   const std::size_t m = 9;
   const std::size_t threads = ResolveThreadCount(0);
-  std::printf("dense kernel, n = %zu, m = %zu, threads = %zu\n", n, m,
-              threads);
+  std::printf("dense kernel, n = %zu, m = %zu, threads = 1 and %zu\n", n,
+              m, threads);
   const ClusteringSet input = PlantedInput(n, m, 8, 0.2, 2);
 
   const LegacyColumns legacy_cols = MakeLegacyColumns(input);
-  Stopwatch watch;
   const SymmetricMatrix<float> legacy = LegacyRowWiseBuild(legacy_cols, 0);
-  const double legacy_seconds = watch.ElapsedSeconds();
-  std::printf("  legacy row-wise (clustering-major): %.3f s\n",
-              legacy_seconds);
+  const double legacy_seconds =
+      MedianSeconds([&] { return LegacyRowWiseBuild(legacy_cols, 0); });
+  std::printf("  legacy row-wise (clustering-major), %zu threads: %.3f s\n",
+              threads, legacy_seconds);
 
   JsonObject part;
   part.Set("n", n)
       .Set("m", m)
       .Set("threads", threads)
+      .Set("runs", kRuns)
       .Set("legacy_rowwise_build_ns", legacy_seconds * 1e9);
-  // Bit-packed SWAR row kernel, then the AVX2 kernel when this build
-  // carries it. A faster kernel with different numbers would be a bug,
-  // not a win, so each must reproduce the legacy matrix bit for bit.
+  // Bit-packed SWAR row kernel, then the AVX2 kernel when the CPU has
+  // it. A faster kernel with different numbers would be a bug, not a
+  // win, so each must reproduce the legacy matrix bit for bit.
   const struct {
     const char* name;
     const char* prefix;
     PackedKernelTier tier;
   } tiers[] = {{"SWAR", "packed", PackedKernelTier::kSwar},
                {"AVX2", "avx2", PackedKernelTier::kAvx2}};
+  double swar_one = 0.0;
+  double swar_all = 0.0;
   for (const auto& t : tiers) {
     if (t.tier == PackedKernelTier::kAvx2 &&
         !internal::Avx2KernelAvailable()) {
       continue;
     }
     TierGuard guard(t.tier);
-    watch.Restart();
-    Result<std::shared_ptr<const DenseDistanceSource>> dense =
-        DenseDistanceSource::Build(input, {}, 0);
-    CLUSTAGG_CHECK_OK(dense.status());
-    const double seconds = watch.ElapsedSeconds();
-    CLUSTAGG_CHECK((*dense)->dense_matrix()->packed() == legacy.packed());
-    std::printf("  packed (%s row kernel): %.3f s, speedup %.2fx\n",
-                t.name, seconds, legacy_seconds / seconds);
-    part.Set(std::string(t.prefix) + "_build_ns", seconds * 1e9)
-        .Set(std::string(t.prefix) + "_speedup", legacy_seconds / seconds);
+    const auto build = [&](std::size_t num_threads) {
+      Result<std::shared_ptr<const DenseDistanceSource>> dense =
+          DenseDistanceSource::Build(input, {}, num_threads);
+      CLUSTAGG_CHECK_OK(dense.status());
+      return *std::move(dense);
+    };
+    for (std::size_t num_threads : {std::size_t{1}, threads}) {
+      CLUSTAGG_CHECK(build(num_threads)->dense_matrix()->packed() ==
+                     legacy.packed());
+    }
+    const double one = MedianSeconds([&] { return build(1); });
+    const double all = MedianSeconds([&] { return build(threads); });
+    std::printf("  packed (%s row kernel): 1 thread %.4f s, %zu threads "
+                "%.4f s, speedup over legacy %.2fx\n",
+                t.name, one, threads, all, legacy_seconds / all);
+    const std::string prefix(t.prefix);
+    part.Set(prefix + "_build_ns_threads_1", one * 1e9)
+        .Set(prefix + "_build_ns", all * 1e9)
+        .Set(prefix + "_speedup", legacy_seconds / all);
+    if (t.tier == PackedKernelTier::kSwar) {
+      swar_one = one;
+      swar_all = all;
+    } else {
+      std::printf("  AVX2 over SWAR: %.2fx at 1 thread, %.2fx at %zu "
+                  "threads\n", swar_one / one, swar_all / all, threads);
+      part.Set("avx2_over_swar_threads_1", swar_one / one)
+          .Set("avx2_over_swar", swar_all / all);
+    }
   }
   json->Set("dense_kernel", part);
 }
@@ -232,11 +279,12 @@ void DenseConstructionScaling(JsonObject* json) {
   // starve the workers that drew early fat ones.
   part.Set("partitioning", std::string("cost_weighted_bands"));
   for (std::size_t threads : {1, 2, 4, 8}) {
-    Stopwatch watch;
-    Result<CorrelationInstance> instance = CorrelationInstance::Build(
-        input, {}, {DistanceBackend::kDense, threads, {}});
-    CLUSTAGG_CHECK_OK(instance.status());
-    const double seconds = watch.ElapsedSeconds();
+    const double seconds = MedianSeconds([&] {
+      Result<CorrelationInstance> instance = CorrelationInstance::Build(
+          input, {}, {DistanceBackend::kDense, threads, {}});
+      CLUSTAGG_CHECK_OK(instance.status());
+      return instance;
+    });
     if (threads == 1) serial_seconds = seconds;
     std::printf("  threads = %zu: %.3f s (speedup %.2fx)\n", threads,
                 seconds, serial_seconds / seconds);
@@ -253,9 +301,11 @@ void QueryLatency(JsonObject* json) {
 
   // Plain path: complete labels, unit weights.
   const ClusteringSet complete = PlantedInput(n, m, 8, 0.2, 5);
-  // General path: the same shape with 10%% missing labels.
+  // Missing-cell path: the same shape with 10% missing labels, still
+  // unit weights, so it packs with presence masks.
   Rng rng(7);
   std::vector<Clustering> noisy;
+  std::vector<double> weights;
   for (std::size_t i = 0; i < m; ++i) {
     std::vector<Clustering::Label> labels(n);
     for (std::size_t v = 0; v < n; ++v) {
@@ -264,9 +314,13 @@ void QueryLatency(JsonObject* json) {
                       : complete.clustering(i).label(v);
     }
     noisy.emplace_back(std::move(labels));
+    weights.push_back(0.5 + 0.25 * static_cast<double>(i));
   }
-  const ClusteringSet with_missing =
-      *ClusteringSet::Create(std::move(noisy));
+  const ClusteringSet with_missing = *ClusteringSet::Create(noisy);
+  // General path: the same labels under non-unit weights, which never
+  // pack.
+  const ClusteringSet weighted =
+      *ClusteringSet::Create(std::move(noisy), std::move(weights));
 
   // Precomputed random pair buffer, cycled: two RNG draws cost ~14 ns —
   // more than the kernels under test — so drawing inside the timed loop
@@ -283,27 +337,31 @@ void QueryLatency(JsonObject* json) {
 
   JsonObject part;
   part.Set("n", n).Set("m", m).Set("queries", queries);
-  part.Set("methodology", std::string("precomputed_pair_buffer"));
+  part.Set("methodology", std::string("precomputed_pair_buffer"))
+      .Set("runs", kRuns);
   const struct {
     const char* name;
     const char* key;
     const ClusteringSet* input;
   } cases[] = {{"packed fast path (SWAR word)", "packed_query_ns", &complete},
-               {"general path (10% missing)", "general_path_ns",
-                &with_missing}};
+               {"packed missing-cell path (10% missing)", "missing_cell_ns",
+                &with_missing},
+               {"general path (10% missing, weighted)", "general_path_ns",
+                &weighted}};
   for (const auto& c : cases) {
     TierGuard guard(PackedKernelTier::kSwar);
     Result<std::shared_ptr<const LazyDistanceSource>> lazy =
         LazyDistanceSource::Build(*c.input, {});
     CLUSTAGG_CHECK_OK(lazy.status());
     double sink = 0.0;
-    Stopwatch watch;
-    for (std::size_t q = 0; q < queries; ++q) {
-      const std::size_t i = q & (kPairBuf - 1);
-      sink += (*lazy)->distance(pair_u[i], pair_v[i]);
-    }
-    const double ns = watch.ElapsedSeconds() * 1e9 /
-                      static_cast<double>(queries);
+    const double ns = MedianSeconds([&] {
+      sink = 0.0;
+      for (std::size_t q = 0; q < queries; ++q) {
+        const std::size_t i = q & (kPairBuf - 1);
+        sink += (*lazy)->distance(pair_u[i], pair_v[i]);
+      }
+      return sink;
+    }) * 1e9 / static_cast<double>(queries);
     std::printf("  %s: %.1f ns/query (checksum %.1f)\n", c.name, ns, sink);
     part.Set(c.key, ns);
     // Same pairs, summed in the same order from float(PairwiseDistance):
@@ -334,10 +392,10 @@ void FoldSpeedup(JsonObject* json) {
     AggregatorOptions options;
     options.algorithm = AggregationAlgorithm::kBalls;
     options.fold = fold;
-    Stopwatch watch;
+    const double seconds =
+        MedianSeconds([&] { return Aggregate(input, options); });
     Result<AggregationResult> result = Aggregate(input, options);
     CLUSTAGG_CHECK_OK(result.status());
-    const double seconds = watch.ElapsedSeconds();
     if (!fold) unfolded_seconds = seconds;
     std::printf("  BALLS fold=%s: %.3f s, %zu clusters, E_D = %.0f\n",
                 fold ? "on" : "off", seconds,

@@ -140,6 +140,8 @@ inline JsonObject HostJson() {
 #if defined(CLUSTAGG_BENCH_BUILD_TYPE)
   host.Set("build_type", std::string(CLUSTAGG_BENCH_BUILD_TYPE));
 #endif
+  // Set only by the end-to-end benchmark's second build
+  // (e2ebench/CMakeLists.txt); the harnesses under bench/ read 0.
 #if defined(CLUSTAGG_BENCH_NATIVE) && CLUSTAGG_BENCH_NATIVE
   host.Set("native", std::size_t{1});
 #else

@@ -12,7 +12,7 @@
 #   ci/sanitize.sh 'stream|differential' differential   # streaming
 #   ci/sanitize.sh shard                                # shard pipeline
 #   ci/sanitize.sh durability                           # crash safety
-#   ci/sanitize.sh native                               # packed kernel
+#   ci/sanitize.sh 'backend|property'                   # packed kernel
 #   ci/sanitize.sh local                                # membership oracle
 #   ci/sanitize.sh fold                                 # fold, sampling, Aggregate
 #   ci/sanitize.sh score                                # partition scores
@@ -26,11 +26,10 @@
 # (unknown flags, missing values, trailing garbage) under both
 # sanitizers.
 #
-# `native` is a special leg, not a label regex: it builds once with
-# CLUSTAGG_NATIVE=ON (compiling the AVX2 packed-label kernel) under
-# ASan + UBSan and runs the backend-equivalence and property suites
-# once. Their tier loops force swar and avx2 (where the CPU has it) in
-# process and check each against float(PairwiseDistance) bit for bit.
+# The packed-kernel leg runs the backend-equivalence and property
+# suites. Their tier loops force swar and avx2 (where the CPU has it) in
+# process and check each against float(PairwiseDistance) bit for bit,
+# so every x86-64 build runs the AVX2 kernel under both sanitizers.
 #
 # The local leg runs the membership-oracle suites (labels `local` and
 # `differential`): many threads share one oracle and race their first
@@ -80,21 +79,6 @@ shift $((OPTIND - 1))
 if [ "$#" -eq 0 ]; then
   echo "usage: ci/sanitize.sh [-j jobs] LABEL_REGEX..." >&2
   exit 2
-fi
-
-if [ "$1" = "native" ]; then
-  # AVX2 packed-kernel leg: one ASan + UBSan build with the native
-  # kernel compiled in, running the backend-equivalence + property
-  # suites.
-  BUILD="$ROOT/build-sanitize-native"
-  echo "=== CLUSTAGG_SANITIZE=address CLUSTAGG_NATIVE=ON ==="
-  cmake -B "$BUILD" -S "$ROOT" -DCLUSTAGG_SANITIZE=address \
-        -DCLUSTAGG_NATIVE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  cmake --build "$BUILD" -j"$JOBS"
-  (cd "$BUILD" && ctest -L 'backend|property' --no-tests=error \
-       --output-on-failure -j"$JOBS")
-  echo "sanitize: native leg passed"
-  exit 0
 fi
 
 for SAN in address thread; do

@@ -93,6 +93,15 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
     return out;
   }
 
+  // SAMPLING assigns the non-sampled objects to the sample's clusters
+  // with no regard for their sizes, so it cannot honour a cap.
+  if (options.sampling_size > 0 && options.max_cluster_size > 0 &&
+      options.algorithm != AggregationAlgorithm::kExact) {
+    return Status::InvalidArgument(
+        "max_cluster_size cannot be combined with sampling_size: the "
+        "SAMPLING assignment does not honour a cluster-size cap");
+  }
+
   // Shard-and-conquer routing: the objective decomposes exactly across
   // agreement-graph components (docs/sharding.md), so requested sharding
   // hands the whole pipeline to src/shard/. Sampling keeps precedence —

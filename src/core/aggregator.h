@@ -76,7 +76,9 @@ struct AggregatorOptions {
 
   /// If nonzero, run via SAMPLING with this sample size instead of
   /// building the full O(n^2) instance (Section 4.1). Ignored for
-  /// kBestClustering and kExact.
+  /// kBestClustering and kExact. Otherwise it cannot be combined with a
+  /// nonzero max_cluster_size (Aggregate returns InvalidArgument): the
+  /// assignment step places objects without regard to cluster sizes.
   std::size_t sampling_size = 0;
   /// SAMPLING's own knobs. Aggregate reads only `sample_log_factor`,
   /// `seed`, `recluster_singletons` and `source.run` (the sub-instance
@@ -124,7 +126,9 @@ struct AggregatorOptions {
   /// counts original objects (fold multiplicities), not representatives.
   /// A filter, not a repair: starting partitions already violating the
   /// cap (Init::kSingleCluster, an oversized refine input) are only
-  /// shrunk when doing so lowers the cost. 0 = uncapped.
+  /// shrunk when doing so lowers the cost. 0 = uncapped. A nonzero cap
+  /// with sampling_size > 0 is InvalidArgument, except for
+  /// kBestClustering and kExact, which never sample.
   std::size_t max_cluster_size = 0;
 
   /// Wall-clock / iteration budget, cancellation flag, and fault hooks

@@ -1,9 +1,10 @@
-// AVX2 bulk row kernel for the packed mismatch count. Compiled only
-// under CLUSTAGG_NATIVE (see src/CMakeLists.txt), with -mavx2 applied
-// to this translation unit alone so the rest of the library stays
-// portable; callers additionally gate on Avx2KernelAvailable(), which
-// checks the CPU at runtime, so a CLUSTAGG_NATIVE binary still runs
-// correctly on machines without AVX2.
+// AVX2 bulk row kernel for the packed mismatch count. Compiled into
+// every x86-64 build with no flags of its own: each function that uses
+// AVX2 carries __attribute__((target("avx2"))), so only those functions
+// get VEX encodings, and a header inline pulled into this file is
+// emitted as portable code. Callers take this path only when the CPU
+// reports AVX2 at runtime (Avx2KernelAvailable), so the library runs on
+// any x86-64.
 //
 // Strategy (single-word layouts, every lane width 1..32; the m <= 9
 // small-alphabet hot case):
@@ -19,7 +20,7 @@
 
 #include "core/internal/packed_labels.h"
 
-#if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
+#if defined(__x86_64__)
 
 #include <immintrin.h>
 
@@ -30,6 +31,7 @@ namespace clustagg::internal {
 namespace {
 
 /// Per-64-bit-lane popcount: nibble lookup + horizontal byte sum.
+__attribute__((target("avx2")))
 inline __m256i Popcount64x4(__m256i x) {
   const __m256i lut = _mm256_setr_epi8(
       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
@@ -44,6 +46,7 @@ inline __m256i Popcount64x4(__m256i x) {
 
 /// Vector form of CollapseToLaneLsb: same OR-shift cascade, same mask.
 template <std::uint32_t kWidth>
+__attribute__((target("avx2")))
 inline __m256i Collapse(__m256i x, __m256i lsb_mask) {
   if constexpr (kWidth == 1) return x;
   if constexpr (kWidth >= 32) x = _mm256_or_si256(x, _mm256_srli_epi64(x, 16));
@@ -58,6 +61,7 @@ inline __m256i Collapse(__m256i x, __m256i lsb_mask) {
 /// through float first (cvtpd_ps then widened) to keep the backend
 /// bit-identity contract.
 template <std::uint32_t kWidth, typename Out>
+__attribute__((target("avx2")))
 void RowFillAvx2(const PackedLabels& p, std::size_t u, std::size_t v0,
                  std::size_t v1, double total_weight, Out* out) {
   const std::uint64_t uw = p.words[u];
@@ -143,4 +147,4 @@ void PackedMismatchRowDoubleAvx2(const PackedLabels& p, std::size_t u,
 
 }  // namespace clustagg::internal
 
-#endif  // CLUSTAGG_HAVE_AVX2_KERNEL
+#endif  // __x86_64__

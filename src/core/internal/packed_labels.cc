@@ -16,14 +16,6 @@ namespace {
 /// test/bench knob flipped between builds, not a synchronization point.
 std::atomic<int> g_tier_override{-1};
 
-[[maybe_unused]] bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
 /// Smallest supported lane width holding values 0..max_value.
 std::uint32_t LaneWidthFor(std::uint32_t max_value) {
   const std::uint32_t bits =
@@ -43,8 +35,8 @@ std::uint64_t LsbMaskFor(std::uint32_t width) {
 }  // namespace
 
 bool Avx2KernelAvailable() {
-#if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
-  static const bool available = CpuHasAvx2();
+#if defined(__x86_64__)
+  static const bool available = __builtin_cpu_supports("avx2") != 0;
   return available;
 #else
   return false;
@@ -327,14 +319,8 @@ void RowFill(const PackedLabels& p, std::size_t u, std::size_t v0,
 }
 
 [[maybe_unused]] bool UseAvx2(const PackedLabels& p) {
-#if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
   return p.words_per_object == 1 && !p.has_missing() &&
-         Avx2KernelAvailable() &&
          ActivePackedKernelTier() == PackedKernelTier::kAvx2;
-#else
-  (void)p;
-  return false;
-#endif
 }
 
 }  // namespace
@@ -357,7 +343,7 @@ void PackedMismatchRowFloat(const PackedLabels& p, std::size_t u,
                             [[maybe_unused]] double total_weight,
                             const double* value_lut, float* out) {
   CLUSTAGG_CHECK(u < p.n && v0 <= v1 && v1 <= p.n);
-#if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
+#if defined(__x86_64__)
   if (UseAvx2(p)) {
     PackedMismatchRowFloatAvx2(p, u, v0, v1, total_weight, out);
     return;
@@ -371,7 +357,7 @@ void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
                              [[maybe_unused]] double total_weight,
                              const double* value_lut, double* out) {
   CLUSTAGG_CHECK(u < p.n && v0 <= v1 && v1 <= p.n);
-#if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
+#if defined(__x86_64__)
   if (UseAvx2(p)) {
     PackedMismatchRowDoubleAvx2(p, u, v0, v1, total_weight, out);
     return;

@@ -49,9 +49,9 @@
 //
 // Dispatch. Two tiers, detected once per process from the CPU: kSwar
 // runs these uint64_t kernels, and kAvx2 additionally routes bulk
-// single-word row fills through the AVX2 kernel compiled under
-// CLUSTAGG_NATIVE (runtime-checked, so binaries stay safe on CPUs
-// without AVX2). See docs/performance.md ("Packed labels").
+// single-word row fills through the AVX2 kernel that every x86-64 build
+// compiles in (runtime-checked, so binaries stay safe on CPUs without
+// AVX2). See docs/performance.md ("Packed labels").
 
 #include <cstddef>
 #include <cstdint>
@@ -65,20 +65,20 @@ namespace clustagg::internal {
 /// Kernel tier resolved from CPU detection.
 enum class PackedKernelTier { kSwar = 0, kAvx2 = 1 };
 
-/// The active tier: kAvx2 when the AVX2 kernel is compiled in and the
-/// CPU has it, kSwar otherwise, unless a test override is in force.
+/// The active tier: kAvx2 on an x86-64 CPU with AVX2, kSwar otherwise,
+/// unless a test override is in force.
 PackedKernelTier ActivePackedKernelTier();
 
 /// Stable lowercase tier name ("swar" / "avx2").
 const char* PackedKernelTierName(PackedKernelTier tier);
 
 /// Test/bench hook: force a tier (kAvx2 silently degrades to kSwar when
-/// the AVX2 kernel is not compiled in or the CPU lacks it). Pass
-/// nullptr to restore the CPU default.
+/// Avx2KernelAvailable() is false). Pass nullptr to restore the CPU
+/// default.
 void SetPackedKernelTierForTest(const PackedKernelTier* tier);
 
-/// True when the AVX2 row kernel is compiled in (CLUSTAGG_NATIVE) and
-/// this CPU supports AVX2.
+/// True when the target is x86-64 (where the AVX2 row kernel is always
+/// compiled in) and this CPU supports AVX2.
 bool Avx2KernelAvailable();
 
 /// One run of same-width words in every object's packed row.
@@ -309,17 +309,16 @@ void PackedAgreementRow(const PackedLabels& p, std::size_t u,
                         std::size_t v0, std::size_t v1,
                         const double* value_lut, char* agree);
 
-#if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
-/// AVX2 implementations (packed_kernel_avx2.cc, compiled with -mavx2
-/// under CLUSTAGG_NATIVE). Single-word layouts only; callers guard with
-/// Avx2KernelAvailable() and words_per_object == 1.
+#if defined(__x86_64__)
+/// AVX2 implementations (packed_kernel_avx2.cc). Single-word layouts
+/// only; callers guard with the kAvx2 tier and words_per_object == 1.
 void PackedMismatchRowFloatAvx2(const PackedLabels& p, std::size_t u,
                                 std::size_t v0, std::size_t v1,
                                 double total_weight, float* out);
 void PackedMismatchRowDoubleAvx2(const PackedLabels& p, std::size_t u,
                                  std::size_t v0, std::size_t v1,
                                  double total_weight, double* out);
-#endif  // CLUSTAGG_HAVE_AVX2_KERNEL
+#endif  // __x86_64__
 
 }  // namespace clustagg::internal
 

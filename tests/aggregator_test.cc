@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "core/aggregator.h"
 
 namespace clustagg {
@@ -154,6 +157,43 @@ TEST(AggregatorTest, ExactIgnoresSamplingEvenWhenItFallsBack) {
   EXPECT_TRUE(fell_back->clustering.SamePartition(expected->clustering));
   EXPECT_DOUBLE_EQ(fell_back->total_disagreements,
                    expected->total_disagreements);
+}
+
+TEST(AggregatorTest, SamplingRejectsClusterSizeCap) {
+  // SAMPLING's assignment cannot honour a cap: on 40 identical objects
+  // with a cap of 5 and a 20-object sample it used to return a cluster
+  // of 25 objects (40 with folding). The combination is now rejected.
+  const Clustering same(std::vector<Clustering::Label>(40, 0));
+  const ClusteringSet input = *ClusteringSet::Create({same, same, same});
+  for (const bool fold : {false, true}) {
+    SCOPED_TRACE(fold ? "folded" : "unfolded");
+    AggregatorOptions options;
+    options.algorithm = AggregationAlgorithm::kLocalSearch;
+    options.max_cluster_size = 5;
+    options.sampling_size = 20;
+    options.fold = fold;
+    EXPECT_EQ(Aggregate(input, options).status().code(),
+              StatusCode::kInvalidArgument);
+
+    options.sampling_size = 0;
+    Result<AggregationResult> capped = Aggregate(input, options);
+    ASSERT_TRUE(capped.ok()) << capped.status();
+    std::map<Clustering::Label, std::size_t> sizes;
+    for (std::size_t v = 0; v < input.num_objects(); ++v) {
+      ++sizes[capped->clustering.label(v)];
+    }
+    for (const auto& [label, size] : sizes) EXPECT_LE(size, 5u);
+  }
+  // kExact and kBestClustering never sample, so they keep running.
+  for (const AggregationAlgorithm algorithm :
+       {AggregationAlgorithm::kExact, AggregationAlgorithm::kBestClustering}) {
+    AggregatorOptions options;
+    options.algorithm = algorithm;
+    options.max_cluster_size = 5;
+    options.sampling_size = 20;
+    EXPECT_TRUE(Aggregate(input, options).ok())
+        << AggregationAlgorithmName(algorithm);
+  }
 }
 
 TEST(AggregatorTest, UnanimousInputsCostZero) {

@@ -188,6 +188,15 @@ foreach(bad "--algoritm;pivot" "--threads;abc" "--threads;-3"
     message(FATAL_ERROR "aggregate ${bad} should exit 2, got ${rc}")
   endif()
 endforeach()
+# SAMPLING's assignment cannot honour a cluster-size cap, so asking for
+# both is InvalidArgument rather than a capped run that breaks the cap.
+execute_process(COMMAND ${CLI} aggregate --csv ${WORK}/votes.csv
+                --class-column class --sample 20 --max-cluster-size 5
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "aggregate --sample with --max-cluster-size should "
+                      "exit 2, got ${rc}")
+endif()
 execute_process(COMMAND ${CLI} gen votes --rows zz --out ${WORK}/zz.csv
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)

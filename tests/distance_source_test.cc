@@ -441,6 +441,22 @@ std::vector<std::size_t> SignatureGrouping(const ClusteringSet& input) {
   return grouping;
 }
 
+TEST(PackedKernelTest, CpuAloneSelectsTheAvx2Tier) {
+  // Every x86-64 build carries the AVX2 kernel, so the CPU alone decides
+  // whether it runs; no build option can drop it again unnoticed.
+#if defined(__x86_64__)
+  const bool cpu_has_avx2 = __builtin_cpu_supports("avx2") != 0;
+  EXPECT_EQ(internal::Avx2KernelAvailable(), cpu_has_avx2);
+  EXPECT_EQ(internal::ActivePackedKernelTier(),
+            cpu_has_avx2 ? internal::PackedKernelTier::kAvx2
+                         : internal::PackedKernelTier::kSwar);
+#else
+  EXPECT_FALSE(internal::Avx2KernelAvailable());
+  EXPECT_EQ(internal::ActivePackedKernelTier(),
+            internal::PackedKernelTier::kSwar);
+#endif
+}
+
 TEST(PackedKernelTest, AllTiersBitIdenticalOnBothBackends) {
   // Same instance, every tier, both backends: every distance must be
   // float(PairwiseDistance) to the bit (kAvx2 silently degrades to

@@ -245,22 +245,53 @@ TEST(SignatureIndexTest, BuildFoldedMatchesPairwiseDistanceBitForBit) {
 TEST(FoldExactnessTest, FoldedCostEqualsUnfoldedCostOfExpansion) {
   // For any partition P of the signatures, the multiplicity-weighted
   // folded cost must equal the plain cost of Expand(P) on the full
-  // instance (no missing labels, so within-group distances are exactly
-  // 0). Same for the lower bound. Summation order differs, so this is a
-  // near-equality of doubles, not bit-identity.
-  for (bool weighted : {false, true}) {
-    const ClusteringSet input =
-        NoisyDuplicatedInput(12, 4, 5, 3, 101, 0.0, weighted);
-    const SignatureIndex index = SignatureIndex::Build(input);
+  // instance minus the intra-group pairs the folded instance omits, the
+  // constant sum over groups of C(mult_g, 2) * X_gg. Without missing
+  // labels X_gg is exactly 0; under kRandomCoin (p = 0.3) a group whose
+  // rows miss a label has X_gg = (1 - p) * (missing weight) / W. Same for
+  // the lower bound: a group is folded only when X_gg <= 1/2, so each
+  // omitted pair's bound term is X_gg too. Summation order differs, so
+  // this is a near-equality of doubles, not bit-identity.
+  MissingValueOptions coin;
+  coin.coin_together_probability = 0.3;
+  const struct {
+    const char* name;
+    ClusteringSet input;
+    MissingValueOptions missing;
+    bool omits_pairs;
+  } cases[] = {
+      {"plain", NoisyDuplicatedInput(12, 4, 5, 3, 101, 0.0, false), {},
+       false},
+      {"weighted", NoisyDuplicatedInput(12, 4, 5, 3, 101, 0.0, true), {},
+       false},
+      {"missing_coin", NoisyDuplicatedInput(12, 4, 5, 3, 101, 0.2, false),
+       coin, true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SignatureIndex index = SignatureIndex::Build(c.input, c.missing);
     ASSERT_FALSE(index.trivial());
-    Result<CorrelationInstance> full =
-        CorrelationInstance::Build(input, {}, {DistanceBackend::kDense, 0,
-                                               {}});
+    Result<CorrelationInstance> full = CorrelationInstance::Build(
+        c.input, c.missing, {DistanceBackend::kDense, 0, {}});
     ASSERT_TRUE(full.ok());
     Result<CorrelationInstance> folded = CorrelationInstance::BuildFolded(
-        input, index, {}, {DistanceBackend::kDense, 0, {}});
+        c.input, index, c.missing, {DistanceBackend::kDense, 0, {}});
     ASSERT_TRUE(folded.ok());
     EXPECT_TRUE(folded->folded());
+    // X_gg read off the full instance between the representative and
+    // another member of its group.
+    std::vector<double> self_distance(index.num_signatures(), 0.0);
+    for (std::size_t v = 0; v < c.input.num_objects(); ++v) {
+      const std::size_t g = index.signature_of(v);
+      const std::size_t rep = index.representatives()[g];
+      if (v != rep) self_distance[g] = full->distance(rep, v);
+    }
+    double omitted = 0.0;
+    for (std::size_t g = 0; g < index.num_signatures(); ++g) {
+      const double mult = index.multiplicities()[g];
+      omitted += mult * (mult - 1.0) / 2.0 * self_distance[g];
+    }
+    EXPECT_EQ(omitted > 0.0, c.omits_pairs);
     Rng rng(7);
     for (int trial = 0; trial < 5; ++trial) {
       std::vector<Clustering::Label> labels(index.num_signatures());
@@ -270,10 +301,10 @@ TEST(FoldExactnessTest, FoldedCostEqualsUnfoldedCostOfExpansion) {
       const Clustering partition(std::move(labels));
       const double folded_cost = *folded->Cost(partition);
       const double full_cost = *full->Cost(index.Expand(partition));
-      EXPECT_NEAR(folded_cost, full_cost,
+      EXPECT_NEAR(folded_cost, full_cost - omitted,
                   1e-9 * (1.0 + std::abs(full_cost)));
     }
-    EXPECT_NEAR(folded->LowerBound(), full->LowerBound(),
+    EXPECT_NEAR(folded->LowerBound(), full->LowerBound() - omitted,
                 1e-9 * (1.0 + full->LowerBound()));
   }
 }

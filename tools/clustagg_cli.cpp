@@ -142,7 +142,7 @@ constexpr FlagSpec kFlags[] = {
     {"shards", kString, kSolve, "auto|off|N",
      "solve agreement components in parallel (default off; docs/sharding.md)"},
     {"max-cluster-size", kPositive, kSolve, "N",
-     "LOCALSEARCH never grows a cluster past N objects"},
+     "LOCALSEARCH never grows a cluster past N objects (not with --sample)"},
     {"deadline-ms", kPositive, kRun, "N",
      "budget of the run, of each stream batch or of the query; on expiry "
      "the best so far is returned, exit 0, 'run outcome = deadline_exceeded'"},

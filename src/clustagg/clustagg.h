@@ -29,7 +29,6 @@
 #include "core/distance_source.h"
 #include "core/exact.h"
 #include "core/hierarchy.h"
-#include "core/lower_bound.h"
 #include "core/majority.h"
 #include "core/pivot.h"
 #include "core/sampling.h"

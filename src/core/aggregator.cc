@@ -1,6 +1,5 @@
 #include "core/aggregator.h"
 
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -159,26 +158,20 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
       return std::move(sampled->clustering);
     }
 
-    // Duplicate-signature folding: when it shrinks the instance and
-    // every group fits the cluster-size cap (a folded group is never
-    // split), the whole pipeline below (build, cluster, refine) runs in
-    // s-signature space and the labels are expanded to object space at
-    // the end.
-    std::optional<SignatureIndex> fold_index;
+    // Duplicate-signature folding: the whole pipeline below (build,
+    // cluster, refine) runs in the fold's signature space and the labels
+    // are expanded to object space at the end. An unfolded run is the
+    // identity fold.
+    const SignatureIndex fold_index = SignatureIndex::ForRun(
+        input, effective.missing, effective.fold, options.max_cluster_size,
+        telemetry, &out.fold_signatures);
     if (effective.fold) {
-      InstrumentedSpan fold_span(telemetry, "fold_index");
-      SignatureIndex signatures =
-          SignatureIndex::Build(input, effective.missing);
-      out.fold_signatures = signatures.num_signatures();
-      TelemetrySetGauge(
-          telemetry, "aggregate.fold_signatures",
-          static_cast<std::int64_t>(signatures.num_signatures()));
-      if (!signatures.trivial() &&
-          signatures.FitsClusterCap(options.max_cluster_size)) {
-        out.folded = true;
-        TelemetryCount(telemetry, "aggregate.folds");
-        fold_index.emplace(std::move(signatures));
-      }
+      TelemetrySetGauge(telemetry, "aggregate.fold_signatures",
+                        static_cast<std::int64_t>(out.fold_signatures));
+    }
+    if (!fold_index.trivial()) {
+      out.folded = true;
+      TelemetryCount(telemetry, "aggregate.folds");
     }
 
     DistanceSourceOptions source_options{effective.backend,
@@ -186,11 +179,8 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
     Result<CorrelationInstance> built = [&]() -> Result<CorrelationInstance> {
       InstrumentedSpan build_span(telemetry, "build_instance");
       auto build = [&]() {
-        return fold_index
-                   ? CorrelationInstance::BuildFolded(input, *fold_index,
-                                                      effective.missing,
-                                                      source_options)
-                   : CorrelationInstance::Build(input, effective.missing,
+        return CorrelationInstance::BuildFolded(input, fold_index,
+                                                effective.missing,
                                                 source_options);
       };
       Result<CorrelationInstance> first = build();
@@ -225,11 +215,6 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
       return built.status();
     }
     const CorrelationInstance& instance = *built;
-    // Folded runs produce labels over the s signatures; expand maps them
-    // back to the n objects (a no-op lambda otherwise).
-    auto finish = [&](Clustering c) {
-      return fold_index ? fold_index->Expand(c) : std::move(c);
-    };
     Result<ClustererRun> result = [&] {
       InstrumentedSpan cluster_span(telemetry, "cluster");
       return (*clusterer)->RunControlled(instance, run);
@@ -246,7 +231,7 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
             "budget fired before LOCALSEARCH refinement; returning the "
             "unrefined clustering");
         TelemetryCount(telemetry, "aggregate.fallback.refine_skipped");
-        return finish(std::move(result->clustering));
+        return fold_index.Expand(result->clustering);
       }
       InstrumentedSpan refine_span(telemetry, "refine");
       LocalSearchClusterer refiner(effective.local_search);
@@ -254,9 +239,9 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
           refiner.RunFromControlled(instance, result->clustering, run);
       if (!refined.ok()) return refined.status();
       out.outcome = MergeOutcomes(out.outcome, refined->outcome);
-      return finish(std::move(refined->clustering));
+      return fold_index.Expand(refined->clustering);
     }
-    return finish(std::move(result->clustering));
+    return fold_index.Expand(result->clustering);
   }();
   if (!clustering.ok()) return clustering.status();
 

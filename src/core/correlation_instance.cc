@@ -42,6 +42,7 @@ Result<CorrelationInstance> CorrelationInstance::BuildFolded(
     const ClusteringSet& input, const SignatureIndex& fold,
     const MissingValueOptions& missing, const DistanceSourceOptions& options) {
   CLUSTAGG_CHECK(fold.num_objects() == input.num_objects());
+  if (fold.trivial()) return Build(input, missing, options);
   Result<std::shared_ptr<const DistanceSource>> source = BuildDistanceSource(
       input.Restrict(fold.representatives()), missing, options);
   if (!source.ok()) return source.status();

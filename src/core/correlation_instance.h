@@ -63,7 +63,9 @@ class CorrelationInstance {
   /// fold.representatives(), carrying fold.multiplicities() (see
   /// FromSource). `fold` must group exactly `input`'s objects. Object g
   /// of the result is signature g; SignatureIndex::Fold and Expand map
-  /// clusterings into and out of this space.
+  /// clusterings into and out of this space. A trivial() fold (the
+  /// identity) returns exactly Build(input, missing, options): no
+  /// restricted copy and no multiplicities, so folded() is false.
   static Result<CorrelationInstance> BuildFolded(
       const ClusteringSet& input, const SignatureIndex& fold,
       const MissingValueOptions& missing = {},

@@ -190,35 +190,26 @@ void ApplySubClustering(const Clustering& sub_clustering,
 
 /// Runs `base` on the input restricted to `subset` — folded to one
 /// weighted representative per duplicate signature when `opts.fold` is
-/// on and the subset actually has duplicates — and expands folded labels
-/// back, so the caller always receives a clustering of subset.size()
-/// objects. Clusterer runs degrade internally (they return an outcome,
-/// not an interrupt status), so any interrupt status escaping here came
-/// from the instance build.
+/// on, the identity fold otherwise — and expands the folded labels back,
+/// so the caller always receives a clustering of subset.size() objects.
+/// Clusterer runs degrade internally (they return an outcome, not an
+/// interrupt status), so any interrupt status escaping here came from
+/// the instance build.
 Result<ClustererRun> RunBaseOnSubset(const ClusteringSet& input,
                                      const CorrelationClusterer& base,
                                      const RunContext& run,
                                      const SamplingOptions& opts,
                                      const std::vector<std::size_t>& subset) {
   const ClusteringSet restricted = input.Restrict(subset);
-  std::optional<SignatureIndex> fold;
-  if (opts.fold) {
-    SignatureIndex signatures =
-        SignatureIndex::Build(restricted, opts.missing);
-    if (!signatures.trivial()) {
-      TelemetryCount(run.telemetry(), "sampling.folds");
-      fold.emplace(std::move(signatures));
-    }
-  }
-  Result<CorrelationInstance> instance =
-      fold ? CorrelationInstance::BuildFolded(restricted, *fold, opts.missing,
-                                              opts.source)
-           : CorrelationInstance::Build(restricted, opts.missing,
-                                        opts.source);
+  const SignatureIndex fold = SignatureIndex::ForRun(
+      restricted, opts.missing, opts.fold, /*max_cluster_size=*/0);
+  if (!fold.trivial()) TelemetryCount(run.telemetry(), "sampling.folds");
+  Result<CorrelationInstance> instance = CorrelationInstance::BuildFolded(
+      restricted, fold, opts.missing, opts.source);
   if (!instance.ok()) return instance.status();
   Result<ClustererRun> result = base.RunControlled(*instance, run);
   if (!result.ok()) return result.status();
-  if (fold) result->clustering = fold->Expand(result->clustering);
+  result->clustering = fold.Expand(result->clustering);
   return result;
 }
 

@@ -2,10 +2,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
+#include "core/instrumentation.h"
 #include "core/internal/packed_labels.h"
 
 namespace clustagg {
@@ -85,13 +87,32 @@ SignatureIndex SignatureIndex::Build(const ClusteringSet& input,
   return index;
 }
 
-bool SignatureIndex::FitsClusterCap(std::size_t max_cluster_size) const {
-  if (max_cluster_size == 0) return true;
-  const double cap = static_cast<double>(max_cluster_size);
-  for (double multiplicity : multiplicity_) {
-    if (multiplicity > cap) return false;
+SignatureIndex SignatureIndex::Identity(std::size_t n) {
+  SignatureIndex index;
+  index.representative_.resize(n);
+  std::iota(index.representative_.begin(), index.representative_.end(),
+            std::size_t{0});
+  index.signature_of_ = index.representative_;
+  index.multiplicity_.assign(n, 1.0);
+  return index;
+}
+
+SignatureIndex SignatureIndex::ForRun(const ClusteringSet& input,
+                                      const MissingValueOptions& missing,
+                                      bool fold, std::size_t max_cluster_size,
+                                      Telemetry* telemetry,
+                                      std::size_t* signatures) {
+  if (!fold) return Identity(input.num_objects());
+  InstrumentedSpan fold_span(telemetry, "fold_index");
+  SignatureIndex index = Build(input, missing);
+  if (signatures != nullptr) *signatures = index.num_signatures();
+  if (max_cluster_size > 0) {
+    const double cap = static_cast<double>(max_cluster_size);
+    for (double multiplicity : index.multiplicity_) {
+      if (multiplicity > cap) return Identity(input.num_objects());
+    }
   }
-  return true;
+  return index;
 }
 
 Clustering SignatureIndex::Expand(const Clustering& folded) const {

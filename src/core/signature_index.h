@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/telemetry.h"
 #include "core/clustering.h"
 #include "core/clustering_set.h"
 
@@ -41,20 +42,35 @@ class SignatureIndex {
   static SignatureIndex Build(const ClusteringSet& input,
                               const MissingValueOptions& missing = {});
 
+  /// The identity grouping of n objects: s == n, representatives
+  /// 0..n-1, unit multiplicities. It is the fold of every run that does
+  /// not fold; CorrelationInstance::BuildFolded builds the plain
+  /// instance from it, and Expand only normalizes the labels.
+  static SignatureIndex Identity(std::size_t n);
+
+  /// The grouping a run folds by; the one place that decides whether a
+  /// run folds. It is Build(input, missing) when `fold` is on and every
+  /// group fits `max_cluster_size` (0 = uncapped; a folded group is never
+  /// split), and the identity otherwise. When `fold` is on, the span
+  /// "fold_index" times the grouping on `telemetry` (may be null), and
+  /// `signatures` (may be null) receives the s that Build found, also
+  /// when a group over the cap makes the run use the identity.
+  static SignatureIndex ForRun(const ClusteringSet& input,
+                               const MissingValueOptions& missing, bool fold,
+                               std::size_t max_cluster_size,
+                               Telemetry* telemetry = nullptr,
+                               std::size_t* signatures = nullptr);
+
   /// Number of objects grouped (n).
   std::size_t num_objects() const { return signature_of_.size(); }
 
   /// Number of distinct signatures s.
   std::size_t num_signatures() const { return representative_.size(); }
 
-  /// True when folding would not shrink the instance (s == n): every
-  /// object is unique, and the fold is a documented no-op.
+  /// True when folding does not shrink the instance (s == n): every
+  /// object is its own signature, numbered by its own id, so the index
+  /// is the identity.
   bool trivial() const { return num_signatures() == num_objects(); }
-
-  /// True when no group holds more than `max_cluster_size` objects
-  /// (0 = uncapped). A folded group is never split, so a run under a
-  /// cluster-size cap folds only when every group fits the cap.
-  bool FitsClusterCap(std::size_t max_cluster_size) const;
 
   /// s / n in (0, 1]; 1.0 when folding is a no-op.
   double fold_ratio() const {

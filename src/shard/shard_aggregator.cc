@@ -10,6 +10,7 @@
 #include "common/parallel.h"
 #include "common/run_context.h"
 #include "core/clustering.h"
+#include "core/correlation_instance.h"
 #include "core/distance_source.h"
 #include "core/instrumentation.h"
 #include "core/signature_index.h"
@@ -49,39 +50,28 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   // The index groups duplicates only where co-clustering them is optimal
   // (signature_index.h), so each group may stand as one node:
   // decomposition runs over the s representatives and the agreement scan
-  // drops from O(n^2 m) to O(s^2 m). A group larger than the cluster-size
-  // cap could not be split, so then the scan runs unfolded.
-  std::optional<SignatureIndex> fold_index;
-  if (options.fold) {
-    InstrumentedSpan fold_span(telemetry, "fold_index");
-    SignatureIndex signatures = SignatureIndex::Build(input, options.missing);
-    if (signatures.FitsClusterCap(options.max_cluster_size)) {
-      fold_index.emplace(std::move(signatures));
-    }
-  }
-  const std::size_t nodes = fold_index ? fold_index->num_signatures() : n;
+  // drops from O(n^2 m) to O(s^2 m). Unfolded, every object is a node.
+  std::size_t fold_signatures = 0;
+  const SignatureIndex fold = SignatureIndex::ForRun(
+      input, options.missing, options.fold, options.max_cluster_size,
+      telemetry, &fold_signatures);
   if (options.shard.mode == ShardingMode::kAuto &&
-      nodes < options.shard.min_objects) {
+      fold.num_signatures() < options.shard.min_objects) {
     return RunUnsharded(input, options);
   }
 
   // The scan always streams from a lazy source — one O(n m) column store
   // whatever backend the per-shard solves use — because both backends
   // answer bit-identically and the scan reads each row exactly once.
-  Result<std::shared_ptr<const LazyDistanceSource>> scan =
-      fold_index ? LazyDistanceSource::Build(
-                       input.Restrict(fold_index->representatives()),
-                       options.missing)
-                 : LazyDistanceSource::Build(input, options.missing);
+  Result<CorrelationInstance> scan = CorrelationInstance::BuildFolded(
+      input, fold, options.missing,
+      {DistanceBackend::kLazy, options.num_threads, {}});
   if (!scan.ok()) return scan.status();
-  static const std::vector<double> kUnitMultiplicities;
-  const std::vector<double>& multiplicities =
-      fold_index ? fold_index->multiplicities() : kUnitMultiplicities;
 
   Result<ShardPlan> plan = [&]() -> Result<ShardPlan> {
     InstrumentedSpan decompose_span(telemetry, "shard.decompose");
-    return DecomposeAgreementGraph(**scan, multiplicities, options.shard,
-                                   options.num_threads, run);
+    return DecomposeAgreementGraph(*scan->source(), scan->multiplicities(),
+                                   options.shard, options.num_threads, run);
   }();
   if (!plan.ok()) {
     if (RunContext::IsInterrupt(plan.status()) && options.allow_fallbacks) {
@@ -118,17 +108,11 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
     }
   }
 
-  // Shards in object space: without folding the plan's node lists are
-  // already object lists; with folding every object follows its
-  // signature's shard (ascending ids either way).
-  std::vector<std::vector<std::size_t>> shard_objects;
-  if (fold_index) {
-    shard_objects.resize(plan->shards.size());
-    for (std::size_t v = 0; v < n; ++v) {
-      shard_objects[plan->shard_of[fold_index->signature_of(v)]].push_back(v);
-    }
-  } else {
-    shard_objects = std::move(plan->shards);
+  // Shards in object space: every object follows its signature's shard
+  // (ascending ids).
+  std::vector<std::vector<std::size_t>> shard_objects(plan->shards.size());
+  for (std::size_t v = 0; v < n; ++v) {
+    shard_objects[plan->shard_of[fold.signature_of(v)]].push_back(v);
   }
   const std::size_t shard_count = shard_objects.size();
 
@@ -141,10 +125,8 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   // opinions, where the same pair's excess is scaled by the input's
   // total weight. Surface the bound in the result's units.
   out.stitch_error_bound = plan->stitch_error_bound * input.total_weight();
-  if (fold_index) {
-    out.fold_signatures = fold_index->num_signatures();
-    out.folded = !fold_index->trivial();
-  }
+  out.fold_signatures = fold_signatures;
+  out.folded = !fold.trivial();
 
   // Solve every shard through the full Aggregate pipeline (per-shard
   // fold, backend fallback, refinement, EXACT tractability all compose

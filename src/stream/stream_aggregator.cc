@@ -304,6 +304,10 @@ void StreamAggregator::ApplyRemoveObject(std::uint64_t id,
 }
 
 void StreamAggregator::RebuildFoldIndex() {
+  if (!options_.fold) {
+    fold_index_ = SignatureIndex::Identity(n_);
+    return;
+  }
   // With no clustering every object carries the empty label tuple: one
   // signature, the grouping of a single constant clustering.
   Result<ClusteringSet> input =
@@ -314,7 +318,13 @@ void StreamAggregator::RebuildFoldIndex() {
   // One all-zero clustering, or the non-empty applied columns whose
   // labels and weights Ingest and RestoreState validated.
   CLUSTAGG_CHECK(input.ok());
-  fold_index_ = SignatureIndex::Build(*input, options_.missing);
+  // A folded group is never split, so the grouping must fit the cap of
+  // the rebuild and of the repair alike: the tighter nonzero one.
+  std::size_t cap = options_.rebuild.max_cluster_size;
+  const std::size_t repair_cap = options_.repair.max_cluster_size;
+  if (cap == 0 || (repair_cap > 0 && repair_cap < cap)) cap = repair_cap;
+  fold_index_ = SignatureIndex::ForRun(*input, options_.missing,
+                                       /*fold=*/true, cap);
 }
 
 void StreamAggregator::ExtendSolutionToNewObjects() {
@@ -336,15 +346,16 @@ void StreamAggregator::ExtendSolutionToNewObjects() {
 }
 
 Result<CorrelationInstance> StreamAggregator::BuildInstance(
-    const ClusteringSet& input, bool folded) const {
-  // Exactly the instances Aggregate builds on the dense backend.
+    const ClusteringSet& input) const {
+  // Exactly the instance Aggregate builds on the dense backend.
+  return CorrelationInstance::BuildFolded(input, fold_index_,
+                                          options_.missing, DenseOptions());
+}
+
+DistanceSourceOptions StreamAggregator::DenseOptions() const {
   DistanceSourceOptions dense;
   dense.num_threads = options_.num_threads;
-  if (!folded) {
-    return CorrelationInstance::Build(input, options_.missing, dense);
-  }
-  return CorrelationInstance::BuildFolded(input, fold_index_,
-                                          options_.missing, dense);
+  return dense;
 }
 
 Result<ClusteringSet> StreamAggregator::CurrentInput() const {
@@ -358,28 +369,24 @@ Result<ClusteringSet> StreamAggregator::CurrentInput() const {
 Result<CorrelationInstance> StreamAggregator::Instance() const {
   Result<ClusteringSet> input = CurrentInput();
   if (!input.ok()) return input.status();
-  return BuildInstance(*input, /*folded=*/false);
+  return CorrelationInstance::Build(*input, options_.missing, DenseOptions());
 }
 
 std::size_t StreamAggregator::fold_signatures() const {
-  return options_.fold ? fold_index_.num_signatures() : n_;
+  return fold_index_.num_signatures();
 }
 
 std::vector<std::size_t> StreamAggregator::fold_representatives() const {
-  if (options_.fold) return fold_index_.representatives();
-  std::vector<std::size_t> reps(n_);
-  for (std::size_t v = 0; v < n_; ++v) reps[v] = v;
-  return reps;
+  return fold_index_.representatives();
 }
 
 std::vector<double> StreamAggregator::fold_multiplicities() const {
-  if (options_.fold) return fold_index_.multiplicities();
-  return std::vector<double>(n_, 1.0);
+  return fold_index_.multiplicities();
 }
 
 std::size_t StreamAggregator::signature_of(std::size_t v) const {
   CLUSTAGG_CHECK(v < n_);
-  return options_.fold ? fold_index_.signature_of(v) : v;
+  return fold_index_.signature_of(v);
 }
 
 Result<StreamAggregatorState> StreamAggregator::ExportState() const {
@@ -502,7 +509,7 @@ Status StreamAggregator::RestoreState(StreamAggregatorState state) {
   pending_next_object_id_ = next_object_id_;
   // Distances and the fold grouping are functions of the columns alone.
   RefreshColumns();
-  if (options_.fold) RebuildFoldIndex();
+  RebuildFoldIndex();
   return Status::OK();
 }
 
@@ -560,7 +567,7 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
                    report.pairs_touched);
   }
   ExtendSolutionToNewObjects();
-  if (options_.fold) RebuildFoldIndex();
+  RebuildFoldIndex();
   TelemetrySetGauge(telemetry, "stream.objects",
                     static_cast<std::int64_t>(n_));
   TelemetrySetGauge(telemetry, "stream.clusterings",
@@ -579,8 +586,7 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
   report.predicted_cost = predicted_cost_;
   Result<ClusteringSet> input = CurrentInput();
   if (!input.ok()) return input.status();
-  Result<CorrelationInstance> repair_instance =
-      BuildInstance(*input, options_.fold);
+  Result<CorrelationInstance> repair_instance = BuildInstance(*input);
   if (!repair_instance.ok()) return repair_instance.status();
   const CorrelationInstance& instance = *repair_instance;
   // A batch cut short mid-apply skips the solution fix-up entirely: the
@@ -608,14 +614,11 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
     } else {
       InstrumentedSpan span(telemetry, "stream.repair");
       InstrumentedTimer timer(telemetry, "stream.repair.nanos");
-      const Clustering initial =
-          options_.fold ? fold_index_.Fold(labels_) : labels_;
       Result<ClustererRun> repaired =
           LocalSearchClusterer(options_.repair)
-              .RunFromControlled(instance, initial, run);
+              .RunFromControlled(instance, fold_index_.Fold(labels_), run);
       if (!repaired.ok()) return repaired.status();
-      labels_ = options_.fold ? fold_index_.Expand(repaired->clustering)
-                              : std::move(repaired->clustering);
+      labels_ = fold_index_.Expand(repaired->clustering);
       report.outcome = MergeOutcomes(report.outcome, repaired->outcome);
       report.repaired = true;
       TelemetryCount(telemetry, "stream.repair.runs");
@@ -625,9 +628,7 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
   // report without a cost would be useless.
   {
     InstrumentedSpan span(telemetry, "stream.score");
-    const Clustering scored =
-        options_.fold ? fold_index_.Fold(labels_) : labels_;
-    Result<double> cost = instance.Cost(scored);
+    Result<double> cost = instance.Cost(fold_index_.Fold(labels_));
     if (!cost.ok()) return cost.status();
     cost_ = *cost;
   }

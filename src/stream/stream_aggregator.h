@@ -34,7 +34,9 @@ struct StreamAggregatorOptions {
   /// Duplicate-signature folding: every Flush regroups the objects with
   /// SignatureIndex::Build over the alive columns, and repair runs over
   /// one weighted representative per signature, exactly like
-  /// AggregatorOptions::fold.
+  /// AggregatorOptions::fold. A group larger than the rebuild's or the
+  /// repair's max_cluster_size keeps the stream on the identity grouping,
+  /// as it keeps Aggregate unfolded.
   bool fold = false;
 
   /// Warm-start repair sweep applied by Flush: LOCALSEARCH from the
@@ -142,8 +144,8 @@ struct StreamAggregatorState {
 ///   - the applied label columns and weights — the stream's only
 ///     per-pair state — plus a LazyDistanceSource over them, rebuilt in
 ///     O(n m) whenever they change, that answers distance(),
-///   - the duplicate-signature fold grouping (optional), recomputed by
-///     SignatureIndex::Build at every Flush,
+///   - the duplicate-signature fold grouping (the identity unless
+///     options.fold), recomputed at every Flush,
 ///   - a current solution, fixed up after each batch by a warm-started
 ///     LOCALSEARCH repair, with a drift-triggered fallback to the full
 ///     Aggregate pipeline.
@@ -240,8 +242,9 @@ class StreamAggregator {
   /// Aggregate builds it.
   Result<CorrelationInstance> Instance() const;
 
-  /// Fold-grouping introspection (meaningful when options.fold is set;
-  /// without folding every object is its own signature).
+  /// Fold-grouping introspection, always valid: without options.fold
+  /// (or when a group exceeds the rebuild's or the repair's cluster-size
+  /// cap) the grouping is the identity, every object its own signature.
   std::size_t fold_signatures() const;
   std::vector<std::size_t> fold_representatives() const;
   std::vector<double> fold_multiplicities() const;
@@ -288,10 +291,11 @@ class StreamAggregator {
   /// Extends labels_ with one fresh singleton per not-yet-labeled object
   /// and charges their pairs' contribution to the tracked cost.
   void ExtendSolutionToNewObjects();
-  /// The dense instance over `input` (this stream's columns), folded to
-  /// one weighted representative per signature when `folded`.
-  Result<CorrelationInstance> BuildInstance(const ClusteringSet& input,
-                                            bool folded) const;
+  /// The dense instance over `input` (this stream's columns), folded by
+  /// fold_index_ (the plain instance when that is the identity).
+  Result<CorrelationInstance> BuildInstance(const ClusteringSet& input) const;
+  /// The dense backend at options_.num_threads, as Aggregate builds it.
+  DistanceSourceOptions DenseOptions() const;
 
   StreamAggregatorOptions options_;
 
@@ -327,8 +331,9 @@ class StreamAggregator {
   std::uint64_t pending_next_clustering_id_ = 0;
   std::uint64_t pending_next_object_id_ = 0;
 
-  /// Signature grouping of the applied objects (maintained only when
-  /// options_.fold), rebuilt at every Flush and RestoreState.
+  /// Signature grouping of the applied objects (the identity without
+  /// options_.fold), rebuilt at every Flush and RestoreState, so it
+  /// always covers the n_ applied objects.
   SignatureIndex fold_index_;
 
   Clustering labels_;

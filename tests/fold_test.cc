@@ -18,6 +18,7 @@
 #include "core/clustering_set.h"
 #include "core/correlation_instance.h"
 #include "core/signature_index.h"
+#include "stream/stream_aggregator.h"
 
 namespace clustagg {
 namespace {
@@ -157,6 +158,66 @@ TEST(SignatureIndexTest, TrivialWhenAllObjectsAreUnique) {
   EXPECT_DOUBLE_EQ(index.fold_ratio(), 1.0);
   EXPECT_EQ(index.multiplicities(),
             (std::vector<double>{1.0, 1.0, 1.0, 1.0}));
+}
+
+TEST(SignatureIndexTest, IdentityIsTheTrivialFold) {
+  const SignatureIndex identity = SignatureIndex::Identity(4);
+  EXPECT_TRUE(identity.trivial());
+  EXPECT_EQ(identity.num_objects(), 4u);
+  EXPECT_EQ(identity.representatives(),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(identity.multiplicities(), (std::vector<double>(4, 1.0)));
+  for (std::size_t v = 0; v < 4; ++v) EXPECT_EQ(identity.signature_of(v), v);
+  // Fold keeps the labels as they are; Expand only normalizes them, so a
+  // normalized clustering survives the round trip label for label.
+  const Clustering labels({2, 0, 2, 1});
+  EXPECT_EQ(identity.Fold(labels), labels);
+  EXPECT_EQ(identity.Expand(labels), labels.Normalized());
+  EXPECT_EQ(identity.Fold(identity.Expand(labels)), labels.Normalized());
+  // Build of an all-unique input is the identity, and BuildFolded over
+  // the identity is the plain instance: no multiplicities, same bits.
+  const ClusteringSet input = *ClusteringSet::Create(
+      {Clustering({3, 1, 0, 2}), Clustering({0, 0, 1, 1})});
+  const SignatureIndex built = SignatureIndex::Build(input);
+  EXPECT_EQ(built.representatives(), identity.representatives());
+  EXPECT_EQ(built.multiplicities(), identity.multiplicities());
+  const CorrelationInstance plain = *CorrelationInstance::Build(input);
+  const CorrelationInstance folded =
+      *CorrelationInstance::BuildFolded(input, identity);
+  EXPECT_FALSE(folded.folded());
+  for (std::size_t u = 0; u < 4; ++u) {
+    for (std::size_t v = 0; v < 4; ++v) {
+      EXPECT_EQ(folded.distance(u, v), plain.distance(u, v));
+    }
+  }
+  EXPECT_EQ(folded.LowerBound(), plain.LowerBound());
+}
+
+TEST(SignatureIndexTest, ForRunFoldsOnlyWhenAskedAndEveryGroupFitsTheCap) {
+  // Objects 0, 1 and 2 share a signature; object 3 is alone.
+  const ClusteringSet input =
+      *ClusteringSet::Create({Clustering({0, 0, 0, 1})});
+  std::size_t signatures = 0;
+  const SignatureIndex off =
+      SignatureIndex::ForRun(input, {}, /*fold=*/false, 0, nullptr,
+                             &signatures);
+  EXPECT_TRUE(off.trivial());
+  EXPECT_EQ(off.num_objects(), 4u);
+  EXPECT_EQ(signatures, 0u);
+  const SignatureIndex on =
+      SignatureIndex::ForRun(input, {}, /*fold=*/true, 3, nullptr,
+                             &signatures);
+  EXPECT_EQ(on.num_signatures(), 2u);
+  EXPECT_EQ(signatures, 2u);
+  // A group of 3 does not fit a cap of 2 and is never split, so the run
+  // uses the identity; the signatures found are still reported.
+  signatures = 0;
+  const SignatureIndex capped =
+      SignatureIndex::ForRun(input, {}, /*fold=*/true, 2, nullptr,
+                             &signatures);
+  EXPECT_TRUE(capped.trivial());
+  EXPECT_EQ(capped.num_objects(), 4u);
+  EXPECT_EQ(signatures, 2u);
 }
 
 TEST(SignatureIndexTest, RestrictedInputIndexesInLocalSpace) {
@@ -420,31 +481,83 @@ TEST(FoldAggregateTest, ExactFoldedMatchesExactUnfoldedOnNoisyInput) {
 }
 
 TEST(FoldAggregateTest, FoldIsANoOpWhenEveryObjectIsUnique) {
-  // All-distinct signatures: the fold must report s == n, set
-  // folded = false, and take exactly the unfolded build path, so the
-  // result is bit-identical to fold = false.
+  // All-distinct signatures: the fold is the identity, so every pipeline
+  // (plain, SAMPLING, sharded, stream) must report s == n where it
+  // surfaces the fold, set folded = false, and return bit-identically
+  // what it returns with fold = false.
   Rng rng(17);
   std::vector<Clustering::Label> a(30), b(30);
   for (std::size_t v = 0; v < 30; ++v) {
     a[v] = static_cast<Clustering::Label>(v);  // all distinct already
     b[v] = static_cast<Clustering::Label>(rng.NextBounded(4));
   }
-  const ClusteringSet input =
-      *ClusteringSet::Create({Clustering(std::move(a)),
-                              Clustering(std::move(b))});
-  AggregatorOptions options;
-  options.algorithm = AggregationAlgorithm::kLocalSearch;
-  options.fold = true;
-  Result<AggregationResult> folded = Aggregate(input, options);
-  options.fold = false;
-  Result<AggregationResult> plain = Aggregate(input, options);
-  ASSERT_TRUE(folded.ok());
-  ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(folded->folded);
-  EXPECT_EQ(folded->fold_signatures, 30u);
-  EXPECT_EQ(plain->fold_signatures, 0u);
-  EXPECT_EQ(plain->clustering, folded->clustering);
-  EXPECT_EQ(plain->total_disagreements, folded->total_disagreements);
+  const ClusteringSet input = *ClusteringSet::Create({Clustering(a),
+                                                      Clustering(b)});
+  struct Case {
+    const char* name;
+    std::size_t sampling_size;
+    ShardingMode shard;
+    // SAMPLING does not surface instance-level fold stats.
+    std::size_t fold_signatures;
+  };
+  const Case cases[] = {
+      {"plain", 0, ShardingMode::kOff, 30},
+      {"sampling", 12, ShardingMode::kOff, 0},
+      {"sharded", 0, ShardingMode::kFixed, 30},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    AggregatorOptions options;
+    options.algorithm = AggregationAlgorithm::kLocalSearch;
+    options.sampling_size = c.sampling_size;
+    options.shard.mode = c.shard;
+    options.shard.num_shards = 2;
+    options.fold = true;
+    Result<AggregationResult> folded = Aggregate(input, options);
+    options.fold = false;
+    Result<AggregationResult> plain = Aggregate(input, options);
+    ASSERT_TRUE(folded.ok()) << folded.status();
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    EXPECT_FALSE(folded->folded);
+    EXPECT_EQ(folded->fold_signatures, c.fold_signatures);
+    EXPECT_EQ(plain->fold_signatures, 0u);
+    EXPECT_EQ(plain->clustering, folded->clustering);
+    EXPECT_EQ(plain->total_disagreements, folded->total_disagreements);
+  }
+
+  // The stream: a rebuild, a warm repair, and an object that stays
+  // unique, replayed with fold on and off.
+  SCOPED_TRACE("stream");
+  std::vector<StreamRecord> records;
+  records.push_back(AddClusteringEvent{a, 1.0});
+  records.push_back(FlushMarker{});
+  records.push_back(AddClusteringEvent{b, 1.0});
+  records.push_back(FlushMarker{});
+  records.push_back(AddObjectEvent{{30, 2}});
+  records.push_back(FlushMarker{});
+  auto replay = [&](bool fold) {
+    StreamAggregatorOptions options;
+    options.fold = fold;
+    options.rebuild.algorithm = AggregationAlgorithm::kLocalSearch;
+    options.rebuild_threshold = 1.0;  // repair after the first rebuild
+    StreamAggregator stream(options);
+    Result<StreamReplayResult> result = ReplayEventLog(stream, records);
+    EXPECT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(stream.fold_signatures(), stream.num_objects());
+    return std::move(result).value();
+  };
+  const StreamReplayResult folded = replay(true);
+  const StreamReplayResult plain = replay(false);
+  ASSERT_EQ(folded.reports.size(), 3u);
+  ASSERT_EQ(plain.reports.size(), 3u);
+  EXPECT_GT(plain.repairs, 0u);
+  for (std::size_t f = 0; f < plain.reports.size(); ++f) {
+    SCOPED_TRACE("flush " + std::to_string(f));
+    EXPECT_EQ(folded.reports[f].rebuilt, plain.reports[f].rebuilt);
+    EXPECT_EQ(folded.reports[f].pre_repair, plain.reports[f].pre_repair);
+    EXPECT_EQ(folded.reports[f].cost, plain.reports[f].cost);
+    EXPECT_EQ(folded.reports[f].drift, plain.reports[f].drift);
+  }
 }
 
 TEST(FoldAggregateTest, SamplingFoldsItsSubInstances) {
@@ -466,6 +579,30 @@ TEST(FoldAggregateTest, SamplingFoldsItsSubInstances) {
   EXPECT_EQ(folded->fold_signatures, 0u);
   EXPECT_EQ(plain->clustering, folded->clustering);
   EXPECT_EQ(plain->total_disagreements, folded->total_disagreements);
+}
+
+TEST(FoldAggregateTest, StreamStaysUnfoldedWhenAGroupExceedsTheCap) {
+  // Objects 0 and 1 share a signature. A folded group is never split, so
+  // under a cluster-size cap of 1 the stream must keep the identity
+  // grouping, as Aggregate does, and its repair must honour the cap.
+  std::vector<StreamRecord> records;
+  records.push_back(AddClusteringEvent{{0, 0, 1}, 1.0});
+  records.push_back(FlushMarker{});
+  records.push_back(AddClusteringEvent{{0, 0, 1}, 1.0});
+  records.push_back(FlushMarker{});
+  StreamAggregatorOptions options;
+  options.fold = true;
+  options.rebuild.algorithm = AggregationAlgorithm::kLocalSearch;
+  options.rebuild.max_cluster_size = 1;
+  options.repair.max_cluster_size = 1;
+  options.rebuild_threshold = 1.0;  // repair after the first rebuild
+  StreamAggregator stream(options);
+  Result<StreamReplayResult> result = ReplayEventLog(stream, records);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->repairs, 1u);
+  EXPECT_EQ(stream.fold_signatures(), 3u);
+  EXPECT_EQ(stream.labels().NumClusters(), 3u);
+  EXPECT_EQ(stream.cost(), 1.0);  // the pair at X = 0, kept apart
 }
 
 TEST(FoldAggregateTest, FoldSurvivesTheDenseToLazyFallback) {

@@ -100,7 +100,10 @@ TEST(IntegrationTest, CategoricalPipeline) {
   Result<ClusteringSet> input = AttributeClusterings(data->table);
   ASSERT_TRUE(input.ok());
 
-  const double lower_bound = DisagreementLowerBound(*input);
+  const double lower_bound =
+      CorrelationInstance::Build(*input, {}, {DistanceBackend::kLazy, 0, {}})
+          ->LowerBound() *
+      input->total_weight();
   ASSERT_GT(lower_bound, 0.0);
 
   AggregatorOptions options;

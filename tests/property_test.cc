@@ -23,7 +23,6 @@
 #include "core/disagreement.h"
 #include "core/distance_source.h"
 #include "core/internal/packed_labels.h"
-#include "core/lower_bound.h"
 #include "core/pivot.h"
 #include "local/local_oracle.h"
 #include "stream/stream_aggregator.h"
@@ -127,7 +126,11 @@ TEST(PropertyTest, EveryClustererCostAtLeastLowerBound) {
     const std::size_t n = 6 + rng.NextBounded(6);
     const ClusteringSet input =
         RandomClusteringSet(n, 3 + rng.NextBounded(4), 4, &rng);
-    const double bound = DisagreementLowerBound(input);
+    const double bound =
+        CorrelationInstance::Build(input, {},
+                                   {DistanceBackend::kLazy, 1, {}})
+            ->LowerBound() *
+        input.total_weight();
     double exact_cost = -1.0;
     for (AggregationAlgorithm algorithm : algorithms) {
       SCOPED_TRACE(AggregationAlgorithmName(algorithm));

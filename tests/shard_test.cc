@@ -595,6 +595,7 @@ TEST(MaxClusterSizeTest, FoldSkipsGroupsLargerThanTheCap) {
     Result<AggregationResult> result = Aggregate(input, options);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_FALSE(result->folded);
+    EXPECT_EQ(result->fold_signatures, 2u);
     EXPECT_EQ(result->clustering.NumClusters(), 3u);
   }
 }

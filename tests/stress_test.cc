@@ -43,7 +43,10 @@ TEST_P(StressTest, AllAlgorithmsRespectCoreInvariants) {
   const auto [seed, missing_rate] = GetParam();
   const ClusteringSet input = RandomInput(48, 5, 4, missing_rate,
                                           seed * 31 + 1);
-  const double lower_bound = DisagreementLowerBound(input);
+  const double lower_bound =
+      CorrelationInstance::Build(input, {}, {DistanceBackend::kLazy, 0, {}})
+          ->LowerBound() *
+      input.total_weight();
 
   for (AggregationAlgorithm algorithm : kAllAlgorithms) {
     AggregatorOptions options;

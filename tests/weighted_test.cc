@@ -81,8 +81,13 @@ TEST_P(DuplicationEquivalenceTest, WeightTwoEqualsTwoCopies) {
     }
   }
   // Lower bound identical.
-  EXPECT_NEAR(DisagreementLowerBound(*weighted),
-              DisagreementLowerBound(*duplicated), 1e-7);
+  auto lower_bound = [](const ClusteringSet& set) {
+    return CorrelationInstance::Build(set, {},
+                                      {DistanceBackend::kLazy, 0, {}})
+               ->LowerBound() *
+           set.total_weight();
+  };
+  EXPECT_NEAR(lower_bound(*weighted), lower_bound(*duplicated), 1e-7);
   // And the aggregation result identical (deterministic algorithm).
   AggregatorOptions options;
   Result<AggregationResult> rw = Aggregate(*weighted, options);

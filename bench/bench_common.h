@@ -183,26 +183,6 @@ inline Clustering TruthClustering(const Dataset2D& data) {
   return Clustering(std::move(labels));
 }
 
-/// k-means sweep k = 2..10 (the paper's Figure 4 / 5 input recipe).
-inline ClusteringSet KMeansSweep(const std::vector<Point2D>& points,
-                                 std::size_t k_min = 2,
-                                 std::size_t k_max = 10,
-                                 std::size_t max_iterations = 100) {
-  std::vector<Clustering> inputs;
-  for (std::size_t k = k_min; k <= k_max; ++k) {
-    KMeansOptions options;
-    options.k = k;
-    options.seed = 1000 + k;
-    options.max_iterations = max_iterations;
-    Result<KMeansResult> r = KMeans(points, options);
-    CLUSTAGG_CHECK_OK(r.status());
-    inputs.push_back(std::move(r->clustering));
-  }
-  Result<ClusteringSet> set = ClusteringSet::Create(std::move(inputs));
-  CLUSTAGG_CHECK_OK(set.status());
-  return *std::move(set);
-}
-
 /// One row of a Table 2/3-style comparison.
 struct TableRow {
   std::string name;

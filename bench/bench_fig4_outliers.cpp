@@ -34,7 +34,9 @@ int main() {
     Result<Dataset2D> data = GenerateGaussianMixture(gen);
     CLUSTAGG_CHECK_OK(data.status());
 
-    const ClusteringSet inputs = KMeansSweep(data->points);
+    KMeansEnsembleOptions sweep;
+    sweep.seed = 1000;
+    const ClusteringSet inputs = KMeansEnsemble(data->points, sweep).value();
     AggregatorOptions options;
     options.algorithm = AggregationAlgorithm::kAgglomerative;
     Result<AggregationResult> result = Aggregate(inputs, options);

@@ -44,8 +44,11 @@ int main(int argc, char** argv) {
     Stopwatch watch;
     // Cap Lloyd iterations: the inputs only need to be reasonable, and
     // the paper's subject here is the aggregation time, not k-means.
+    KMeansEnsembleOptions sweep;
+    sweep.max_iterations = 25;
+    sweep.seed = 1000;
     const ClusteringSet inputs =
-        KMeansSweep(data->points, 2, 10, /*max_iterations=*/25);
+        KMeansEnsemble(data->points, sweep).value();
     const double kmeans_seconds = watch.ElapsedSeconds();
 
     SamplingOptions options;

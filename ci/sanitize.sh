@@ -14,7 +14,7 @@
 #   ci/sanitize.sh durability                           # crash safety
 #   ci/sanitize.sh 'backend|property'                   # packed kernel
 #   ci/sanitize.sh local                                # membership oracle
-#   ci/sanitize.sh fold                                 # fold, sampling, Aggregate
+#   ci/sanitize.sh 'fold|shard|stream|differential' fold  # identity fold everywhere
 #   ci/sanitize.sh score                                # partition scores
 #   ci/sanitize.sh rows                                 # row walks
 #   ci/sanitize.sh telemetry                            # metric registry

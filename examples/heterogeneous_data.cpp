@@ -48,16 +48,16 @@ int main() {
 
   // Homogeneous block 1: the numeric attributes, clustered with k-means
   // at a few plausible k (no single k needs to be right).
-  std::vector<Clustering> inputs;
-  for (std::size_t k : {3u, 4u, 5u}) {
-    KMeansOptions options;
-    options.k = k;
-    options.seed = 7 + k;
-    Result<KMeansResult> r = KMeans(points, options);
-    CLUSTAGG_CHECK_OK(r.status());
-    std::printf("numeric block, k-means k=%zu: %zu clusters\n", k,
-                r->clustering.NumClusters());
-    inputs.push_back(std::move(r->clustering));
+  KMeansEnsembleOptions sweep;
+  sweep.k_min = 3;
+  sweep.k_max = 5;
+  sweep.seed = 7;
+  Result<ClusteringSet> numeric = KMeansEnsemble(points, sweep);
+  CLUSTAGG_CHECK_OK(numeric.status());
+  std::vector<Clustering> inputs = numeric->clusterings();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    std::printf("numeric block, k-means k=%zu: %zu clusters\n",
+                sweep.k_min + i, inputs[i].NumClusters());
   }
   // Homogeneous block 2: each categorical attribute is a clustering.
   for (std::size_t a = 0; a < table->num_attributes(); ++a) {

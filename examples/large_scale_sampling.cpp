@@ -21,16 +21,9 @@ int main() {
   CLUSTAGG_CHECK_OK(data.status());
   std::printf("Dataset: %zu points\n", data->size());
 
-  std::vector<Clustering> inputs;
-  for (std::size_t k = 2; k <= 10; ++k) {
-    KMeansOptions options;
-    options.k = k;
-    options.seed = k;
-    Result<KMeansResult> r = KMeans(data->points, options);
-    CLUSTAGG_CHECK_OK(r.status());
-    inputs.push_back(std::move(r->clustering));
-  }
-  Result<ClusteringSet> set = ClusteringSet::Create(std::move(inputs));
+  KMeansEnsembleOptions sweep;  // k = 2..10
+  sweep.seed = 0;
+  Result<ClusteringSet> set = KMeansEnsemble(data->points, sweep);
   CLUSTAGG_CHECK_OK(set.status());
 
   SamplingOptions sampling;

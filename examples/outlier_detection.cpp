@@ -23,16 +23,9 @@ int main() {
   std::printf("Dataset: 5 Gaussian clusters x 100 points + %zu noise "
               "points\n\n", data->size() - 500);
 
-  std::vector<Clustering> inputs;
-  for (std::size_t k = 2; k <= 10; ++k) {
-    KMeansOptions options;
-    options.k = k;
-    options.seed = k;
-    Result<KMeansResult> r = KMeans(data->points, options);
-    CLUSTAGG_CHECK_OK(r.status());
-    inputs.push_back(std::move(r->clustering));
-  }
-  Result<ClusteringSet> set = ClusteringSet::Create(std::move(inputs));
+  KMeansEnsembleOptions sweep;  // k = 2..10
+  sweep.seed = 0;
+  Result<ClusteringSet> set = KMeansEnsemble(data->points, sweep);
   CLUSTAGG_CHECK_OK(set.status());
 
   AggregatorOptions options;

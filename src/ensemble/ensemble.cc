@@ -1,12 +1,8 @@
 #include "ensemble/ensemble.h"
 
-#include <cmath>
-#include <numbers>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "vanilla/kmeans.h"
 
 namespace clustagg {
@@ -16,90 +12,15 @@ Result<ClusteringSet> KMeansEnsemble(const std::vector<Point2D>& points,
   if (options.k_min < 1 || options.k_min > options.k_max) {
     return Status::InvalidArgument("need 1 <= k_min <= k_max");
   }
-  if (options.runs_per_k == 0) {
-    return Status::InvalidArgument("runs_per_k must be >= 1");
-  }
-  Rng rng(options.seed);
   std::vector<Clustering> members;
   for (std::size_t k = options.k_min; k <= options.k_max; ++k) {
-    for (std::size_t run = 0; run < options.runs_per_k; ++run) {
-      KMeansOptions km;
-      km.k = k;
-      km.max_iterations = options.max_iterations;
-      km.seed = rng.NextUint64();
-      Result<KMeansResult> r = KMeans(points, km);
-      if (!r.ok()) return r.status();
-      members.push_back(std::move(r->clustering));
-    }
-  }
-  return ClusteringSet::Create(std::move(members));
-}
-
-Result<ClusteringSet> ProjectionEnsemble(
-    const std::vector<Point2D>& points,
-    const ProjectionEnsembleOptions& options) {
-  if (options.members == 0) {
-    return Status::InvalidArgument("members must be >= 1");
-  }
-  Rng rng(options.seed);
-  std::vector<Clustering> members;
-  for (std::size_t i = 0; i < options.members; ++i) {
-    // Random direction in the plane; cluster the 1D projection.
-    const double angle = rng.NextUniform(0.0, std::numbers::pi);
-    const double dx = std::cos(angle);
-    const double dy = std::sin(angle);
-    std::vector<Point2D> projected(points.size());
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      projected[p] = {points[p].x * dx + points[p].y * dy, 0.0};
-    }
     KMeansOptions km;
-    km.k = options.k;
+    km.k = k;
     km.max_iterations = options.max_iterations;
-    km.seed = rng.NextUint64();
-    Result<KMeansResult> r = KMeans(projected, km);
+    km.seed = options.seed + k;
+    Result<KMeansResult> r = KMeans(points, km);
     if (!r.ok()) return r.status();
     members.push_back(std::move(r->clustering));
-  }
-  return ClusteringSet::Create(std::move(members));
-}
-
-Result<ClusteringSet> BootstrapEnsemble(
-    const std::vector<Point2D>& points,
-    const BootstrapEnsembleOptions& options) {
-  if (options.members == 0) {
-    return Status::InvalidArgument("members must be >= 1");
-  }
-  if (options.sample_fraction <= 0.0 || options.sample_fraction > 1.0) {
-    return Status::InvalidArgument("sample_fraction must lie in (0, 1]");
-  }
-  const std::size_t n = points.size();
-  const auto sample_size = std::max<std::size_t>(
-      options.k,
-      static_cast<std::size_t>(options.sample_fraction *
-                               static_cast<double>(n)));
-  if (sample_size > n) {
-    return Status::InvalidArgument("fewer points than clusters requested");
-  }
-  Rng rng(options.seed);
-  std::vector<Clustering> members;
-  for (std::size_t i = 0; i < options.members; ++i) {
-    std::vector<std::size_t> sample =
-        rng.SampleWithoutReplacement(n, sample_size);
-    std::vector<Point2D> subset(sample.size());
-    for (std::size_t s = 0; s < sample.size(); ++s) {
-      subset[s] = points[sample[s]];
-    }
-    KMeansOptions km;
-    km.k = options.k;
-    km.max_iterations = options.max_iterations;
-    km.seed = rng.NextUint64();
-    Result<KMeansResult> r = KMeans(subset, km);
-    if (!r.ok()) return r.status();
-    std::vector<Clustering::Label> labels(n, Clustering::kMissing);
-    for (std::size_t s = 0; s < sample.size(); ++s) {
-      labels[sample[s]] = r->clustering.label(s);
-    }
-    members.emplace_back(std::move(labels));
   }
   return ClusteringSet::Create(std::move(members));
 }

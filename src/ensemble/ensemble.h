@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "core/clustering_set.h"
@@ -10,65 +11,24 @@
 
 namespace clustagg {
 
-/// Generators for *diverse* input clusterings of a point set — the raw
-/// material of the paper's meta-clustering application ("improving
-/// clustering robustness", Section 2) and of the ensemble methods it
-/// surveys in Section 6 (Fred & Jain's multiple k-means runs, Fern &
-/// Brodley's random projections).
+/// The k-means sweep that generates *diverse* input clusterings of a
+/// point set: the raw material of the paper's meta-clustering
+/// application ("improving clustering robustness", Section 2) and its
+/// Figures 4 and 5.
 
 /// Options for the k-means ensemble.
 struct KMeansEnsembleOptions {
   /// k sweep (inclusive); the paper's Figures 4/5 use 2..10.
   std::size_t k_min = 2;
   std::size_t k_max = 10;
-  /// Independent runs per k (Fred & Jain use many runs at a fixed k;
-  /// the paper uses one run per k).
-  std::size_t runs_per_k = 1;
   std::size_t max_iterations = 100;
   std::uint64_t seed = 1;
 };
 
-/// One k-means clustering per (k, run) pair; seeds differ so the runs
-/// land in different local optima.
+/// One k-means clustering per k in [k_min, k_max], the run for k seeded
+/// with seed + k.
 Result<ClusteringSet> KMeansEnsemble(const std::vector<Point2D>& points,
                                      const KMeansEnsembleOptions& options);
-
-/// Options for the random-projection ensemble (Fern & Brodley, ICML
-/// 2003): each member clusters a random 1D projection of the points, so
-/// every member is blind to one direction of the structure and only the
-/// aggregate sees all of it.
-struct ProjectionEnsembleOptions {
-  /// Number of random projections.
-  std::size_t members = 8;
-  /// k used to cluster each projection.
-  std::size_t k = 8;
-  std::size_t max_iterations = 50;
-  std::uint64_t seed = 1;
-};
-
-/// Clusters `members` random 1D projections of the point set with
-/// one-dimensional k-means each.
-Result<ClusteringSet> ProjectionEnsemble(
-    const std::vector<Point2D>& points,
-    const ProjectionEnsembleOptions& options);
-
-/// Options for the bootstrap (subsampling) ensemble.
-struct BootstrapEnsembleOptions {
-  std::size_t members = 8;
-  /// Fraction of points sampled (without replacement) per member; the
-  /// unsampled points get missing labels, exercising the framework's
-  /// missing-value machinery.
-  double sample_fraction = 0.7;
-  std::size_t k = 5;
-  std::size_t max_iterations = 50;
-  std::uint64_t seed = 1;
-};
-
-/// Each member clusters a random subsample with k-means; points outside
-/// the subsample are unlabeled (missing) in that member.
-Result<ClusteringSet> BootstrapEnsemble(
-    const std::vector<Point2D>& points,
-    const BootstrapEnsembleOptions& options);
 
 }  // namespace clustagg
 

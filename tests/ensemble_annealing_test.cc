@@ -44,10 +44,9 @@ TEST(KMeansEnsembleTest, ProducesOneMemberPerKAndRun) {
   KMeansEnsembleOptions options;
   options.k_min = 2;
   options.k_max = 6;
-  options.runs_per_k = 3;
   Result<ClusteringSet> set = KMeansEnsemble(points, options);
   ASSERT_TRUE(set.ok());
-  EXPECT_EQ(set->num_clusterings(), 5u * 3u);
+  EXPECT_EQ(set->num_clusterings(), 5u);
   EXPECT_EQ(set->num_objects(), points.size());
 }
 
@@ -82,80 +81,8 @@ TEST(KMeansEnsembleTest, Validation) {
   options.k_min = 5;
   options.k_max = 2;
   EXPECT_FALSE(KMeansEnsemble(points, options).ok());
-  options.k_min = 2;
-  options.runs_per_k = 0;
+  options.k_min = 0;
   EXPECT_FALSE(KMeansEnsemble(points, options).ok());
-}
-
-TEST(ProjectionEnsembleTest, MembersAreBlindButAggregateIsNot) {
-  // Each 1D projection merges blobs that align along its direction, but
-  // the aggregate of many projections recovers all four.
-  const auto points = FourBlobs(40, 7);
-  ProjectionEnsembleOptions options;
-  options.members = 12;
-  options.k = 4;
-  options.seed = 2;
-  Result<ClusteringSet> set = ProjectionEnsemble(points, options);
-  ASSERT_TRUE(set.ok());
-  EXPECT_EQ(set->num_clusterings(), 12u);
-
-  const Clustering truth = BlobTruth(40);
-  double best_member = -1.0;
-  for (std::size_t i = 0; i < set->num_clusterings(); ++i) {
-    best_member = std::max(
-        best_member, *AdjustedRandIndex(set->clustering(i), truth));
-  }
-  AggregatorOptions agg;
-  agg.refine_with_local_search = true;
-  Result<AggregationResult> result = Aggregate(*set, agg);
-  ASSERT_TRUE(result.ok());
-  Result<double> ari = AdjustedRandIndex(result->clustering, truth);
-  EXPECT_GT(*ari, 0.95);
-  EXPECT_GE(*ari, best_member - 0.05);
-}
-
-TEST(BootstrapEnsembleTest, UnsampledPointsAreMissing) {
-  const auto points = FourBlobs(25, 9);
-  BootstrapEnsembleOptions options;
-  options.members = 5;
-  options.sample_fraction = 0.6;
-  options.k = 4;
-  Result<ClusteringSet> set = BootstrapEnsemble(points, options);
-  ASSERT_TRUE(set.ok());
-  EXPECT_TRUE(set->HasMissing());
-  for (std::size_t i = 0; i < set->num_clusterings(); ++i) {
-    const std::size_t missing = set->clustering(i).CountMissing();
-    EXPECT_NEAR(static_cast<double>(missing),
-                0.4 * static_cast<double>(points.size()), 2.0);
-  }
-}
-
-TEST(BootstrapEnsembleTest, AggregationHandlesTheMissingLabels) {
-  const auto points = FourBlobs(40, 11);
-  BootstrapEnsembleOptions options;
-  options.members = 9;
-  options.k = 4;
-  options.seed = 4;
-  Result<ClusteringSet> set = BootstrapEnsemble(points, options);
-  ASSERT_TRUE(set.ok());
-  AggregatorOptions agg;
-  Result<AggregationResult> result = Aggregate(*set, agg);
-  ASSERT_TRUE(result.ok());
-  Result<double> ari =
-      AdjustedRandIndex(result->clustering, BlobTruth(40));
-  EXPECT_GT(*ari, 0.9);
-}
-
-TEST(BootstrapEnsembleTest, Validation) {
-  const auto points = FourBlobs(5, 13);
-  BootstrapEnsembleOptions options;
-  options.sample_fraction = 0.0;
-  EXPECT_FALSE(BootstrapEnsemble(points, options).ok());
-  options.sample_fraction = 1.5;
-  EXPECT_FALSE(BootstrapEnsemble(points, options).ok());
-  options.sample_fraction = 0.5;
-  options.members = 0;
-  EXPECT_FALSE(BootstrapEnsemble(points, options).ok());
 }
 
 // ----------------------------------------------------------- annealing

@@ -80,13 +80,8 @@ int main() {
                             watch.ElapsedSeconds()));
   }
 
-  // The per-pair lower bound over the unfolded lazy instance.
   const double lower_bound =
-      CorrelationInstance::Build(*input, {},
-                                 {DistanceBackend::kLazy, 0, {}})
-          .value()
-          .LowerBound() *
-      input->total_weight();
+      CorrelationInstance::DisagreementBound(*input).value();
   PrintComparisonTable("Table 2: Votes", rows, lower_bound);
   std::printf(
       "\nReading: aggregators choose k themselves (paper: k=2-3, E_C "

@@ -50,6 +50,15 @@ Result<CorrelationInstance> CorrelationInstance::BuildFolded(
                              fold.multiplicities());
 }
 
+Result<double> CorrelationInstance::DisagreementBound(
+    const ClusteringSet& input, const MissingValueOptions& missing,
+    std::size_t num_threads) {
+  Result<CorrelationInstance> instance =
+      Build(input, missing, {DistanceBackend::kLazy, num_threads, {}});
+  if (!instance.ok()) return instance.status();
+  return instance->LowerBound() * input.total_weight();
+}
+
 CorrelationInstance CorrelationInstance::FromSource(
     std::shared_ptr<const DistanceSource> source, std::size_t num_threads,
     std::vector<double> multiplicities) {

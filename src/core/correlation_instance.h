@@ -170,6 +170,13 @@ class CorrelationInstance {
   double LowerBound() const;
   Result<double> LowerBound(const RunContext& run) const;
 
+  /// The per-pair lower bound on D(C) over `input`: LowerBound() of the
+  /// unfolded lazy instance, times input.total_weight() to turn d into D.
+  /// Every pair counts, intra-group ones included. Fails like Build.
+  static Result<double> DisagreementBound(
+      const ClusteringSet& input, const MissingValueOptions& missing = {},
+      std::size_t num_threads = 0);
+
   /// Total incident weight sum_v X_uv of each vertex; the BALLS algorithm
   /// sorts vertices by this. O(n^2 / threads) dense. The budgeted
   /// overload abandons with an interrupt status like Cost.

@@ -318,13 +318,11 @@ void StreamAggregator::RebuildFoldIndex() {
   // One all-zero clustering, or the non-empty applied columns whose
   // labels and weights Ingest and RestoreState validated.
   CLUSTAGG_CHECK(input.ok());
-  // A folded group is never split, so the grouping must fit the cap of
-  // the rebuild and of the repair alike: the tighter nonzero one.
-  std::size_t cap = options_.rebuild.max_cluster_size;
-  const std::size_t repair_cap = options_.repair.max_cluster_size;
-  if (cap == 0 || (repair_cap > 0 && repair_cap < cap)) cap = repair_cap;
+  // The grouping feeds the repair and the scoring; the rebuild goes
+  // through Aggregate, which folds under its own cap.
   fold_index_ = SignatureIndex::ForRun(*input, options_.missing,
-                                       /*fold=*/true, cap);
+                                       /*fold=*/true,
+                                       options_.repair.max_cluster_size);
 }
 
 void StreamAggregator::ExtendSolutionToNewObjects() {

@@ -220,6 +220,8 @@ TEST(LowerBoundTest, MatchesInstanceLowerBoundTimesM) {
       CorrelationInstance::Build(input).value();
   EXPECT_NEAR(BruteForceLowerBound(input), 5.0 * instance.LowerBound(),
               1e-3);
+  EXPECT_NEAR(BruteForceLowerBound(input),
+              CorrelationInstance::DisagreementBound(input).value(), 1e-3);
 }
 
 TEST(LowerBoundTest, ZeroForUnanimousInputs) {

@@ -101,9 +101,7 @@ TEST(IntegrationTest, CategoricalPipeline) {
   ASSERT_TRUE(input.ok());
 
   const double lower_bound =
-      CorrelationInstance::Build(*input, {}, {DistanceBackend::kLazy, 0, {}})
-          ->LowerBound() *
-      input->total_weight();
+      CorrelationInstance::DisagreementBound(*input).value();
   ASSERT_GT(lower_bound, 0.0);
 
   AggregatorOptions options;

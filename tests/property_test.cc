@@ -127,10 +127,7 @@ TEST(PropertyTest, EveryClustererCostAtLeastLowerBound) {
     const ClusteringSet input =
         RandomClusteringSet(n, 3 + rng.NextBounded(4), 4, &rng);
     const double bound =
-        CorrelationInstance::Build(input, {},
-                                   {DistanceBackend::kLazy, 1, {}})
-            ->LowerBound() *
-        input.total_weight();
+        CorrelationInstance::DisagreementBound(input, {}, 1).value();
     double exact_cost = -1.0;
     for (AggregationAlgorithm algorithm : algorithms) {
       SCOPED_TRACE(AggregationAlgorithmName(algorithm));

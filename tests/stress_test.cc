@@ -44,9 +44,7 @@ TEST_P(StressTest, AllAlgorithmsRespectCoreInvariants) {
   const ClusteringSet input = RandomInput(48, 5, 4, missing_rate,
                                           seed * 31 + 1);
   const double lower_bound =
-      CorrelationInstance::Build(input, {}, {DistanceBackend::kLazy, 0, {}})
-          ->LowerBound() *
-      input.total_weight();
+      CorrelationInstance::DisagreementBound(input).value();
 
   for (AggregationAlgorithm algorithm : kAllAlgorithms) {
     AggregatorOptions options;

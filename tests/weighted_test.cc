@@ -81,13 +81,9 @@ TEST_P(DuplicationEquivalenceTest, WeightTwoEqualsTwoCopies) {
     }
   }
   // Lower bound identical.
-  auto lower_bound = [](const ClusteringSet& set) {
-    return CorrelationInstance::Build(set, {},
-                                      {DistanceBackend::kLazy, 0, {}})
-               ->LowerBound() *
-           set.total_weight();
-  };
-  EXPECT_NEAR(lower_bound(*weighted), lower_bound(*duplicated), 1e-7);
+  EXPECT_NEAR(CorrelationInstance::DisagreementBound(*weighted).value(),
+              CorrelationInstance::DisagreementBound(*duplicated).value(),
+              1e-7);
   // And the aggregation result identical (deterministic algorithm).
   AggregatorOptions options;
   Result<AggregationResult> rw = Aggregate(*weighted, options);

@@ -721,14 +721,10 @@ int CmdAggregate(const Flags& flags) {
     std::fprintf(stderr, "distance backend = %s, threads = %zu\n",
                  DistanceBackendName(options->backend),
                  ResolveThreadCount(options->num_threads));
-    // The per-pair bound over the unfolded lazy instance: every pair,
-    // intra-group ones included, on the packed kernel.
-    Result<CorrelationInstance> bound = CorrelationInstance::Build(
-        *input, options->missing,
-        {DistanceBackend::kLazy, options->num_threads, {}});
+    Result<double> bound = CorrelationInstance::DisagreementBound(
+        *input, options->missing, options->num_threads);
     if (!bound.ok()) return Fail(bound.status());
-    std::fprintf(stderr, "lower bound on D = %.1f\n",
-                 bound->LowerBound() * input->total_weight());
+    std::fprintf(stderr, "lower bound on D = %.1f\n", *bound);
     const auto sizes = result->clustering.ClusterSizes();
     for (std::size_t c = 0; c < sizes.size(); ++c) {
       std::fprintf(stderr, "  cluster %zu: %zu objects\n", c, sizes[c]);

@@ -318,11 +318,15 @@ void StreamAggregator::RebuildFoldIndex() {
   // One all-zero clustering, or the non-empty applied columns whose
   // labels and weights Ingest and RestoreState validated.
   CLUSTAGG_CHECK(input.ok());
-  // The grouping feeds the repair and the scoring; the rebuild goes
-  // through Aggregate, which folds under its own cap.
+  // A folded group is never split, and the repair and the scoring read
+  // the labels through this grouping. A capped rebuild (Aggregate folds
+  // under its own cap) may split a group, which the scoring must then
+  // see, so the grouping fits the tighter nonzero cap of the two.
+  std::size_t cap = options_.rebuild.max_cluster_size;
+  const std::size_t repair_cap = options_.repair.max_cluster_size;
+  if (cap == 0 || (repair_cap > 0 && repair_cap < cap)) cap = repair_cap;
   fold_index_ = SignatureIndex::ForRun(*input, options_.missing,
-                                       /*fold=*/true,
-                                       options_.repair.max_cluster_size);
+                                       /*fold=*/true, cap);
 }
 
 void StreamAggregator::ExtendSolutionToNewObjects() {

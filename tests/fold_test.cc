@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -584,25 +585,36 @@ TEST(FoldAggregateTest, SamplingFoldsItsSubInstances) {
 TEST(FoldAggregateTest, StreamStaysUnfoldedWhenAGroupExceedsTheCap) {
   // Objects 0 and 1 share a signature. A folded group is never split, so
   // under a cluster-size cap of 1 the stream must keep the identity
-  // grouping, as Aggregate does, and its repair must honour the cap.
-  std::vector<StreamRecord> records;
-  records.push_back(AddClusteringEvent{{0, 0, 1}, 1.0});
-  records.push_back(FlushMarker{});
-  records.push_back(AddClusteringEvent{{0, 0, 1}, 1.0});
-  records.push_back(FlushMarker{});
-  StreamAggregatorOptions options;
-  options.fold = true;
-  options.rebuild.algorithm = AggregationAlgorithm::kLocalSearch;
-  options.rebuild.max_cluster_size = 1;
-  options.repair.max_cluster_size = 1;
-  options.rebuild_threshold = 1.0;  // repair after the first rebuild
-  StreamAggregator stream(options);
-  Result<StreamReplayResult> result = ReplayEventLog(stream, records);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->repairs, 1u);
-  EXPECT_EQ(stream.fold_signatures(), 3u);
-  EXPECT_EQ(stream.labels().NumClusters(), 3u);
-  EXPECT_EQ(stream.cost(), 1.0);  // the pair at X = 0, kept apart
+  // grouping, as Aggregate does: its repair must honour the cap, and a
+  // capped rebuild's split of the group must show in the scored cost.
+  struct Caps {
+    std::size_t rebuild;
+    std::size_t repair;
+  };
+  for (const Caps caps : {Caps{1, 1}, Caps{1, 0}}) {
+    SCOPED_TRACE("rebuild cap " + std::to_string(caps.rebuild) +
+                 ", repair cap " + std::to_string(caps.repair));
+    StreamAggregatorOptions options;
+    options.fold = true;
+    options.rebuild.algorithm = AggregationAlgorithm::kLocalSearch;
+    options.rebuild.max_cluster_size = caps.rebuild;
+    options.repair.max_cluster_size = caps.repair;
+    options.rebuild_threshold = 1.0;  // repair after the first rebuild
+    StreamAggregator stream(options);
+    for (int flush = 0; flush < 2; ++flush) {
+      ASSERT_TRUE(stream.Ingest(AddClusteringEvent{{0, 0, 1}, 1.0}).ok());
+      Result<StreamFlushReport> report = stream.Flush();
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_EQ(report->repaired, flush == 1);
+      EXPECT_EQ(stream.fold_signatures(), 3u);
+      // Whatever the labels, the reported cost is theirs.
+      EXPECT_EQ(stream.cost(), *stream.Instance()->Cost(stream.labels()));
+    }
+    if (caps.repair == 1) {
+      EXPECT_EQ(stream.labels().NumClusters(), 3u);
+      EXPECT_EQ(stream.cost(), 1.0);  // the pair at X = 0, kept apart
+    }
+  }
 }
 
 TEST(FoldAggregateTest, FoldSurvivesTheDenseToLazyFallback) {

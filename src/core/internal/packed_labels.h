@@ -32,9 +32,8 @@
 // Eligibility. A 32-bit lane holds any int32 column, so packing fails
 // (returns nullptr) only for m == 0, which ClusteringSet::Create already
 // rejects. Whether the *mismatch-count semantics* apply (unit weights)
-// is the caller's check — SignatureIndex packs rows with missing
-// sentinels as ordinary symbols, because it only needs equality of
-// whole rows.
+// is the caller's check: without encode_missing, the kMissing sentinel
+// packs as an ordinary symbol.
 //
 // Missing labels. Packed with encode_missing, a column that holds
 // kMissing reserves lane value 0 for it (its labels take 1..k; the
@@ -240,31 +239,6 @@ inline std::size_t PackedMissingCell(const PackedLabels& p, std::size_t u,
     }
   }
   return observed * p.cell_stride() + mismatched;
-}
-
-/// Equality of two packed rows — equivalent to equality of the original
-/// label rows (per-column remapping is injective). SignatureIndex's
-/// collision check.
-inline bool PackedRowsEqual(const PackedLabels& p, std::size_t u,
-                            std::size_t v) {
-  const std::uint64_t* a = p.row(u);
-  const std::uint64_t* b = p.row(v);
-  for (std::size_t w = 0; w < p.words_per_object; ++w) {
-    if (a[w] != b[w]) return false;
-  }
-  return true;
-}
-
-/// FNV-1a over a packed row's words. Hash quality only affects bucket
-/// balance, never grouping (collisions are resolved by PackedRowsEqual).
-inline std::uint64_t HashPackedRow(const PackedLabels& p, std::size_t v) {
-  const std::uint64_t* a = p.row(v);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t w = 0; w < p.words_per_object; ++w) {
-    h ^= a[w];
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// Precomputed count -> value table: lut[c] =

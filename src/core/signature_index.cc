@@ -1,14 +1,12 @@
 #include "core/signature_index.h"
 
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
 #include "core/instrumentation.h"
-#include "core/internal/packed_labels.h"
 
 namespace clustagg {
 
@@ -38,22 +36,28 @@ SignatureIndex SignatureIndex::Build(const ClusteringSet& input,
   const std::size_t n = input.num_objects();
   const std::size_t m = input.num_clusterings();
 
-  // Object-major label rows, the packer's input.
-  std::vector<Clustering::Label> rows(n * m);
+  // The label columns, read in place. Only whole-row *equality* matters
+  // here, so the kMissing sentinel compares like any other label. No
+  // object-major or packed copy of the n x m labels is made: the index
+  // is built beside the input, not beside a second copy of it.
+  std::vector<const Clustering::Label*> columns(m);
   for (std::size_t i = 0; i < m; ++i) {
-    const Clustering& c = input.clustering(i);
-    Clustering::Label* out = rows.data() + i;
-    for (std::size_t v = 0; v < n; ++v) out[v * m] = c.label(v);
+    columns[i] = input.clustering(i).labels().data();
   }
-
-  // Packed signature rows: only whole-row *equality* matters here, so
-  // the kMissing sentinel packs like any other symbol and the packed
-  // words stand in for the rows in both hashing and the collision check
-  // (the per-column remap is injective). Packing fails only for m == 0,
-  // which ClusteringSet::Create rejects.
-  const std::unique_ptr<internal::PackedLabels> packed =
-      internal::PackLabelRows(rows.data(), n, m);
-  CLUSTAGG_CHECK(packed != nullptr);
+  auto hash_of = [&](std::size_t v) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const Clustering::Label* column : columns) {
+      h ^= static_cast<std::uint32_t>(column[v]);
+      h *= 1099511628211ull;
+    }
+    return h ^ (h >> 32);
+  };
+  auto same_labels = [&](std::size_t u, std::size_t v) {
+    for (const Clustering::Label* column : columns) {
+      if (column[u] != column[v]) return false;
+    }
+    return true;
+  };
 
   SignatureIndex index;
   index.signature_of_.resize(n);
@@ -63,12 +67,10 @@ SignatureIndex SignatureIndex::Build(const ClusteringSet& input,
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
   buckets.reserve(n);
   for (std::size_t v = 0; v < n; ++v) {
-    std::vector<std::size_t>& bucket =
-        buckets[internal::HashPackedRow(*packed, v)];
+    std::vector<std::size_t>& bucket = buckets[hash_of(v)];
     std::size_t signature = static_cast<std::size_t>(-1);
     for (std::size_t candidate : bucket) {
-      if (internal::PackedRowsEqual(*packed, v,
-                                    index.representative_[candidate])) {
+      if (same_labels(v, index.representative_[candidate])) {
         signature = candidate;
         break;
       }

@@ -36,10 +36,9 @@ SignatureIndex SignatureIndex::Build(const ClusteringSet& input,
   const std::size_t n = input.num_objects();
   const std::size_t m = input.num_clusterings();
 
-  // The label columns, read in place. Only whole-row *equality* matters
-  // here, so the kMissing sentinel compares like any other label. No
-  // object-major or packed copy of the n x m labels is made: the index
-  // is built beside the input, not beside a second copy of it.
+  // The label columns, read in place, so the grouping needs O(n) memory
+  // beside the input and no n x m copy. Only whole-row *equality*
+  // matters here, so the kMissing sentinel compares like any other label.
   std::vector<const Clustering::Label*> columns(m);
   for (std::size_t i = 0; i < m; ++i) {
     columns[i] = input.clustering(i).labels().data();
